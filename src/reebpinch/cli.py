@@ -31,6 +31,7 @@ from .radial_profile import (
     verify_profile,
 )
 from .connecting_ode import (
+    IntegrationError,
     barrier_curve,
     ellipticity_grid_report,
     integrate_connecting,
@@ -43,6 +44,7 @@ from .connecting_ode import (
 )
 from .contact_dynamics import (
     AmbientSpace,
+    HypothesisError,
     StarshapedSurface,
     orbit_summary,
     surface_from_json,
@@ -52,7 +54,6 @@ from .orbit_search import (
     ellipsoid_oracle,
     find_closed_orbits,
     verify_pinching_theorem,
-    worker_count,
 )
 
 EXIT_PASS = 0
@@ -125,6 +126,12 @@ def _write_outputs(out_dir: str, tag: str, cfg: dict, report: dict,
 # ---------------------------------------------------------------------------
 # argument handling
 # ---------------------------------------------------------------------------
+
+def _add_core(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--R0", type=float)
+    p.add_argument("--A", type=float)
+    p.add_argument("--c", type=float)
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override it")
@@ -362,8 +369,7 @@ def cmd_surface_orbits(args) -> int:
               else tuple(cfg.get("window", (0.5 * math.pi, 2.5 * math.pi))))
     sc = SearchConfig(seeds=int(cfg.get("seeds", 64)), action_window=window,
                       closure_tol=float(cfg.get("tol", 1e-9)),
-                      rng_seed=int(cfg.get("rng-seed", 20260823)),
-                      workers=worker_count())
+                      rng_seed=int(cfg.get("rng-seed", 20260823)))
     result = find_closed_orbits(surface, sc)
     report = {
         "command": "surface-orbits",
@@ -374,11 +380,8 @@ def cmd_surface_orbits(args) -> int:
                    "accepted": result.stats.accepted},
         "units": "ambient (sphere orbit action pi R^2)",
     }
-    csv = "\n".join(["action,period,multiplicity"]
-                    + [f"{o.action!r},{o.period!r},{o.multiplicity}"
-                       for o in result.orbits]) + "\n"
     _write_outputs(args.out, "surface-orbits", cfg, report,
-                   {"spectrum": csv}, t0)
+                   {"spectrum": _spectrum_csv(result)}, t0)
     if args.json:
         print(_dumps17(report))
     else:
@@ -394,8 +397,7 @@ def cmd_verify_pinch(args) -> int:
         raise SystemExit("verify-pinch requires --surface")
     surface = _load_surface(cfg["surface"])
     rep = verify_pinching_theorem(surface, seeds=int(cfg.get("seeds", 64)),
-                                  rng_seed=int(cfg.get("rng-seed", 20260823)),
-                                  workers=worker_count())
+                                  rng_seed=int(cfg.get("rng-seed", 20260823)))
     report = _spectrum_report_doc(rep, cfg, cfg["surface"])
     _write_outputs(args.out, "verify-pinch", cfg, report,
                    {"spectrum": _spectrum_csv(rep)}, t0)
@@ -421,8 +423,7 @@ def cmd_verify_ellipsoid(args) -> int:
     surface = StarshapedSurface(space, np.zeros(space.dim), "ellipsoid",
                                 {"radii": radii})
     rep = verify_pinching_theorem(surface, seeds=int(cfg.get("seeds", 64)),
-                                  rng_seed=int(cfg.get("rng-seed", 20260823)),
-                                  workers=worker_count())
+                                  rng_seed=int(cfg.get("rng-seed", 20260823)))
     oracle_entries, _ = ellipsoid_oracle(
         radii, math.pi * max(radii) ** 2 + 1e-9)
     oracle_simple = sorted({e.action for e in oracle_entries if e.iterate == 1})
@@ -496,31 +497,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile-check", help="validate (R0, A, c)")
-    p.add_argument("--R0", type=float)
-    p.add_argument("--A", type=float)
-    p.add_argument("--c", type=float)
+    _add_core(p)
     _add_common(p)
     p.set_defaults(fn=cmd_profile_check)
 
     p = sub.add_parser("profile-build", help="build and certify a profile")
-    p.add_argument("--R0", type=float)
-    p.add_argument("--A", type=float)
-    p.add_argument("--c", type=float)
+    _add_core(p)
     _add_common(p)
     p.set_defaults(fn=cmd_profile_build)
 
     p = sub.add_parser("ode-connect", help="integrate the connecting ODE")
-    p.add_argument("--R0", type=float)
-    p.add_argument("--A", type=float)
-    p.add_argument("--c", type=float)
+    _add_core(p)
     p.add_argument("--tol", type=float)
     _add_common(p)
     p.set_defaults(fn=cmd_ode_connect)
 
     p = sub.add_parser("ode-probe", help="uniqueness and decay probes")
-    p.add_argument("--R0", type=float)
-    p.add_argument("--A", type=float)
-    p.add_argument("--c", type=float)
+    _add_core(p)
     _add_common(p)
     p.set_defaults(fn=cmd_ode_probe)
 
@@ -572,6 +565,12 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except IntegrationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except HypothesisError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_APPLICABLE
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 from scipy.stats import norm, qmc
 
@@ -36,14 +36,12 @@ __all__ = [
     "StarshapedSurface",
     "ReebOrbit",
     "GraphFunction",
-    "FlowResult",
     "HamiltonianOrbit",
     "HypothesisError",
     "OffSurfaceError",
     "RADIAL_SIGN",
     "normal_at",
     "reeb_field",
-    "flow",
     "hypothesis_margin",
     "pinch_radii",
     "sphere_directions",
@@ -196,6 +194,12 @@ class StarshapedSurface:
         u = w / nr[..., None]
         return np.abs(nr - self.rho(u))
 
+    def require_on_surface(self, x: np.ndarray) -> None:
+        """Raise OffSurfaceError unless every point of x lies on the surface."""
+        res = float(np.max(self.radial_residual(x)))
+        if res >= ON_SURFACE_TOL:
+            raise OffSurfaceError(f"point off surface, radial residual {res:.3e}")
+
     def project(self, x: np.ndarray) -> np.ndarray:
         """Radially rescale x - x0 onto the surface."""
         w = np.asarray(x, dtype=float) - self.center
@@ -220,85 +224,26 @@ class StarshapedSurface:
         return nu / np.linalg.norm(nu, axis=-1, keepdims=True)
 
     def reeb(self, x: np.ndarray) -> np.ndarray:
-        """Batched Reeb field (2/<nu, x>) J nu; no hypothesis guard."""
+        """Batched Reeb field (2/<nu, x>) J nu at on-surface points (no
+        residual check); raises HypothesisError where <nu, x> <= 0."""
         nu = self.normals(x)
         denom = np.sum(nu * np.asarray(x, dtype=float), axis=-1)
+        if denom.min() <= 0.0:
+            raise HypothesisError(f"<nu, x> = {float(denom.min()):.3e} <= 0: "
+                                  "not starshaped about the origin")
         return (2.0 / denom)[..., None] * self.space.J(nu)
 
 
 def normal_at(surface: StarshapedSurface, x: np.ndarray) -> np.ndarray:
     """Unit exterior normal at an on-surface point."""
-    res = float(surface.radial_residual(x))
-    if res >= ON_SURFACE_TOL:
-        raise OffSurfaceError(f"point off surface, radial residual {res:.3e}")
+    surface.require_on_surface(x)
     return surface.normals(np.asarray(x, dtype=float))
 
 
 def reeb_field(surface: StarshapedSurface, x: np.ndarray) -> np.ndarray:
     """Reeb vector field R(x) = (2/<nu(x), x>) J nu(x) of alpha on the surface."""
-    x = np.asarray(x, dtype=float)
-    nu = normal_at(surface, x)
-    denom = float(np.dot(nu, x))
-    if denom <= 0.0:
-        raise HypothesisError(f"<nu, x> = {denom:.3e} <= 0 at {x}")
-    return (2.0 / denom) * surface.space.J(nu)
-
-
-# ---------------------------------------------------------------------------
-# flow
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FlowResult:
-    t: np.ndarray          # accepted step times
-    points: np.ndarray     # (len(t), 2n) on-surface samples
-    action: float          # accumulated int alpha(xdot) dt
-    radial_residual: float # final |r - rho| before the last projection
-
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.points[-1]
-
-
-def flow(surface: StarshapedSurface, x: np.ndarray, T: float,
-         tol: float = 1e-10) -> FlowResult:
-    """Integrate xdot = R(x) for time T with per-step radial re-projection.
-
-    The action accumulator int alpha_x(xdot) dt rides along as an independent
-    consistency signal (it must equal the elapsed time within tolerance).
-    """
-    x = np.asarray(x, dtype=float)
-    res = float(surface.radial_residual(x))
-    if res >= ON_SURFACE_TOL:
-        raise OffSurfaceError(f"flow start off surface, residual {res:.3e}")
-    space = surface.space
-
-    def rhs(t, y):
-        pt = y[:-1]
-        nu = surface.normals(pt)
-        denom = float(np.sum(nu * pt))
-        if denom <= 0.0:
-            raise HypothesisError(
-                f"<nu, x> = {denom:.3e} <= 0 at t = {t:.6g}, x = {pt}")
-        R = (2.0 / denom) * space.J(nu)
-        return np.append(R, float(space.alpha(pt, R)))
-
-    y0 = np.append(x, 0.0)
-    stepper = RK45(rhs, 0.0, y0, t_bound=float(T), rtol=tol, atol=tol)
-    ts = [0.0]
-    pts = [x.copy()]
-    last_res = 0.0
-    while stepper.status == "running":
-        stepper.step()
-        pt = stepper.y[:-1]
-        last_res = float(surface.radial_residual(pt))
-        stepper.y[:-1] = surface.project(pt)
-        ts.append(stepper.t)
-        pts.append(stepper.y[:-1].copy())
-    if stepper.status == "failed":
-        raise RuntimeError("flow integration failed")
-    return FlowResult(np.asarray(ts), np.asarray(pts),
-                      float(stepper.y[-1]), last_res)
+    surface.require_on_surface(x)
+    return surface.reeb(x)
 
 
 # ---------------------------------------------------------------------------
@@ -451,47 +396,19 @@ def _abar(space: AmbientSpace, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return space.alpha(x, v) / math.pi
 
 
-def _xi_basis(space: AmbientSpace, x: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of xi_x = ker abar cap T_x S^{2n-1}:
-    Gram-Schmidt of the coordinate basis projected off span{x, Jx}."""
-    d = space.dim
-    Jx = space.J(x)
-    basis = []
-    for i in range(d):
-        v = np.zeros(d)
-        v[i] = 1.0
-        v = v - np.dot(v, x) * x - np.dot(v, Jx) * Jx
-        for b in basis:
-            v = v - np.dot(v, b) * b
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            basis.append(v / nrm)
-        if len(basis) == d - 2:
-            break
-    if len(basis) != d - 2:
-        raise RuntimeError("failed to build a basis of the contact hyperplane")
-    return np.asarray(basis)
-
-
 def v_f_field(f: GraphFunction, x: np.ndarray) -> np.ndarray:
     """The xi_x-valued solution V_f of d(abar)(V_f, .) = df(Rbar) abar - df.
 
-    Solved over a deterministic orthonormal basis e_i of xi_x, on which
-    abar(e_i) = 0, so the right-hand side reduces to -df(e_i).
+    On xi_x = span{x, Jx}^perp the right-hand side is -df and d(abar) is
+    <J., .>/pi, so V_f = pi J g with g the gradient of f projected off
+    span{x, Jx} (J preserves xi_x).
     """
     x = np.asarray(x, dtype=float)
-    space = f.space
-    basis = _xi_basis(space, x)
-    m = len(basis)
-    M = np.empty((m, m))
-    for j in range(m):
-        M[:, j] = space.omega(basis[j], basis) / math.pi
-    rhs = -f.df(x, basis)
-    try:
-        coeffs = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:  # cannot occur for nondegenerate dalpha
-        raise RuntimeError(f"singular contact-hyperplane system: {exc}")
-    return coeffs @ basis
+    Jx = f.space.J(x)
+    g = f.grad(x)
+    g = (g - np.sum(g * x, axis=-1)[..., None] * x
+         - np.sum(g * Jx, axis=-1)[..., None] * Jx)
+    return math.pi * f.space.J(g)
 
 
 @dataclass

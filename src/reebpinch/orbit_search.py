@@ -10,8 +10,6 @@ Wirtinger chain.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -37,19 +35,11 @@ __all__ = [
     "verify_pinching_theorem",
     "verify_period_bound",
     "ellipsoid_oracle",
-    "worker_count",
+    "flow",
 ]
 
 _ORBIT_SAMPLES = 256
 _FLOW_TOL = 1e-12
-
-
-def worker_count(requested: Optional[int] = None) -> int:
-    """Worker cap: explicit argument, else REEBPINCH_THREADS, else 1."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("REEBPINCH_THREADS", "")
-    return max(1, int(env)) if env.strip() else 1
 
 
 @dataclass(frozen=True)
@@ -61,7 +51,6 @@ class SearchConfig:
     rng_seed: int = 20260823
     max_refinements: int = 16
     period_grid: int = 16
-    workers: Optional[int] = None
 
     def __post_init__(self):
         lo, hi = self.action_window
@@ -94,30 +83,36 @@ class SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# flow helpers (per-candidate integrations keep results independent of how
-# candidates are chunked across workers)
+# the Reeb flow
 # ---------------------------------------------------------------------------
 
-def _flow_states(surface: StarshapedSurface, states: np.ndarray, t_end: float,
-                 tol: float = _FLOW_TOL):
-    """Integrate a stack of states of one candidate; dense solution."""
+def flow(surface: StarshapedSurface, states: np.ndarray, T: float,
+         tol: float = _FLOW_TOL):
+    """Integrate xdot = R(x) for time T from a stack of on-surface states.
+
+    The states ride in one DOP853 integration.  Returns the dense solution
+    as a callable t -> states, shaped like ``states`` for scalar t and with a
+    leading time axis for an array of times.  Raises OffSurfaceError for a
+    start state off the surface and HypothesisError where <nu, x> <= 0.
+    """
+    states = np.asarray(states, dtype=float)
+    surface.require_on_surface(states)
     shape = states.shape
 
     def rhs(t, y):
         X = y.reshape(shape)
         return surface.reeb(X).reshape(-1)
 
-    sol = solve_ivp(rhs, (0.0, t_end), states.reshape(-1), method="DOP853",
+    sol = solve_ivp(rhs, (0.0, T), states.reshape(-1), method="DOP853",
                     rtol=tol, atol=tol, dense_output=True)
     if not sol.success:
         raise RuntimeError(f"flow integration failed: {sol.message}")
-    return sol, shape
 
+    def at(t):
+        y = sol.sol(t)
+        return y.reshape(shape) if y.ndim == 1 else y.T.reshape(-1, *shape)
 
-def _phi(surface: StarshapedSurface, x: np.ndarray, T: float,
-         tol: float = _FLOW_TOL) -> np.ndarray:
-    sol, shape = _flow_states(surface, x[None, :], T, tol)
-    return sol.sol(T).reshape(shape)[0]
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +121,8 @@ def _phi(surface: StarshapedSurface, x: np.ndarray, T: float,
 
 def _coarse_candidate(surface, x0, lo, hi, n_grid):
     """Best trial period for a seed: scan the return distance on a grid."""
-    sol, shape = _flow_states(surface, x0[None, :], hi, tol=1e-10)
     Ts = np.linspace(lo, hi, n_grid)
-    pts = sol.sol(Ts).reshape(shape[1], len(Ts)).T
+    pts = flow(surface, x0, hi, tol=1e-10)(Ts)
     dist = np.linalg.norm(pts - x0, axis=-1)
     return float(Ts[np.argmin(dist)]), float(np.min(dist))
 
@@ -146,7 +140,7 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
     eye = np.eye(dim)
 
     def residual(y, T):
-        return _phi(surface, y, T, tol) - y
+        return flow(surface, y, T, tol)(T) - y
 
     F = residual(y, T)
     best = float(np.linalg.norm(F))
@@ -156,8 +150,7 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
             break
         # all FD states of this candidate ride in a single integration
         pert = np.vstack([y] + [surface.project(y + fd * e) for e in eye])
-        sol, shape = _flow_states(surface, pert, T, tol)
-        out = sol.sol(T).reshape(shape)
+        out = flow(surface, pert, T, tol)(T)
         phi = out[0]
         R_here = surface.reeb(y)
         Jac = np.zeros((dim + 1, dim + 1))
@@ -207,9 +200,8 @@ def _refine_candidate(surface, x0, T0, cfg):
 
 def _sample_orbit(surface: StarshapedSurface, x: np.ndarray, T: float,
                   residual: float) -> ReebOrbit:
-    sol, shape = _flow_states(surface, x[None, :], T)
     ts = np.linspace(0.0, T, _ORBIT_SAMPLES)
-    pts = sol.sol(ts).reshape(shape[1], len(ts)).T
+    pts = flow(surface, x, T)(ts)
     pts = surface.project(pts)
     # action = int alpha(xdot) dt, re-evaluated by quadrature (= T for Reeb flow)
     R = surface.reeb(pts)
@@ -225,28 +217,17 @@ def find_closed_orbits(surface: StarshapedSurface,
 
     Low-discrepancy seed points crossed with a uniform trial-period grid,
     then damped Gauss-Newton with finite-difference flow sensitivities.
-    Candidates are refined independently, so the result does not depend on
-    the worker count.
     """
     lo, hi = cfg.action_window
     dirs = sphere_directions(surface.space.dim, cfg.seeds, cfg.rng_seed)
     seeds = surface.point(dirs)
     stats = SearchStats(seeds=cfg.seeds)
 
-    def process(x0):
-        T0, _ = _coarse_candidate(surface, x0, lo, hi, cfg.period_grid)
-        return _refine_candidate(surface, x0, T0, cfg)
-
-    w = worker_count(cfg.workers)
-    if w > 1:
-        with ThreadPoolExecutor(max_workers=w) as pool:
-            results = list(pool.map(process, seeds))
-    else:
-        results = [process(x0) for x0 in seeds]
-
     orbits = []
     tol_pad = 10 * cfg.closure_tol
-    for y, T, res in results:
+    for x0 in seeds:
+        T0, _ = _coarse_candidate(surface, x0, lo, hi, cfg.period_grid)
+        y, T, res = _refine_candidate(surface, x0, T0, cfg)
         if res < cfg.closure_tol:
             stats.converged += 1
             if lo - tol_pad <= T <= hi + tol_pad:
@@ -333,8 +314,8 @@ class SpectrumReport:
 
 def verify_pinching_theorem(surface: StarshapedSurface,
                             cfg: Optional[SearchConfig] = None,
-                            seeds: int = 64, rng_seed: int = 20260823,
-                            workers: Optional[int] = None) -> SpectrumReport:
+                            seeds: int = 64,
+                            rng_seed: int = 20260823) -> SpectrumReport:
     """Search the closed action window [pi R1^2, pi R2^2] and verify the
     multiplicity prediction distinct_count >= n = cuplength(CP^{n-1}) + 1.
 
@@ -354,7 +335,7 @@ def verify_pinching_theorem(surface: StarshapedSurface,
             # degenerate window (round sphere): pad the search interval only
             lo, hi = lo * (1.0 - 1e-3), hi * (1.0 + 1e-3)
         cfg = SearchConfig(seeds=seeds, action_window=(lo, hi),
-                           rng_seed=rng_seed, workers=workers)
+                           rng_seed=rng_seed)
     found = find_closed_orbits(surface, cfg)
     reps = deduplicate(found.orbits, cfg.dedupe_tol)
 

@@ -136,7 +136,10 @@ def validate_core(R0: float, A: float, c: float) -> ValidationReport:
         # log R0 < 1 is automatic for R0 < 2
         rhs = (R0 - 1.0) / (1.0 - math.log(R0))
         constraints.append(("c < (R0-1)/(1-log R0)", rhs - c))
-        B = A * math.exp((R0 - 1.0) / c)
+        try:
+            B = A * math.exp((R0 - 1.0) / c)
+        except OverflowError:
+            B = math.inf        # tiny c: the window constraint fails below
         width = c * (B - A)
         constraints.append(("c(B-A) < 1", 1.0 - width))
         constraints.append(("A < B", B - A))

@@ -205,7 +205,8 @@ def test_criterion_5_ellipsoid_oracle(space, flat_ellipsoid_report):
 
 def test_criterion_6_period_bound(space, random_surfaces):
     t0 = time.monotonic()
-    bound_ok = slack_ok = margin_seen = True
+    bound_ok = slack_ok = True
+    margin_seen = False
     for S in random_surfaces:
         R1, R2, _ = cd.pinch_radii(S)
         rep = osr.verify_period_bound(S, [], R1)
@@ -265,11 +266,10 @@ def test_criterion_7_correspondence(space, profile):
     })
 
 
-def test_criterion_8_determinism(tmp_path, capsys, monkeypatch):
+def test_criterion_8_determinism(tmp_path, capsys):
     reports = []
-    for workers, sub in (("1", "w1"), ("4", "w4")):
+    for sub in ("r1", "r2"):
         out = tmp_path / sub
-        monkeypatch.setenv("REEBPINCH_THREADS", workers)
         code = cli.main(["verify-ellipsoid", "--radii", "1.0,1.2",
                         "--seeds", "64", "--rng-seed", "20260823",
                         "--out", str(out)])

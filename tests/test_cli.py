@@ -35,6 +35,17 @@ def sphere_file(tmp_path):
 
 
 @pytest.fixture()
+def off_center_file(tmp_path):
+    # sphere about (3, 0, 0, 0): <nu, x> < 0 on the side facing the origin
+    space = AmbientSpace(2)
+    surf = StarshapedSurface(space, np.array([3.0, 0.0, 0.0, 0.0]), "sphere",
+                             {"R": 1.0})
+    path = tmp_path / "off_center.json"
+    path.write_text(surface_to_json(surf))
+    return str(path)
+
+
+@pytest.fixture()
 def fat_file(tmp_path):
     space = AmbientSpace(2)
     surf = StarshapedSurface(space, np.zeros(4), "ellipsoid",
@@ -62,6 +73,12 @@ class TestProfileCheck:
         doc = json.load(open(report_path(tmp_path, "profile-check")))
         assert doc["ok"] is False
         assert doc["first_failure"] == "c < (R0-1)/(1-log R0)"
+
+    def test_tiny_c_fails_named_constraint(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "profile-check", "--R0", "1.5", "--A",
+                           "0.5", "--c", "1e-4", "--out", str(tmp_path))
+        assert code == 2
+        assert "c(B-A) < 1" in out
 
     def test_missing_subcommand_is_usage(self, capsys):
         assert cli.main([]) == 1
@@ -133,6 +150,14 @@ class TestOdeCommands:
         assert all(m["determinant"] < 0.0
                    for m in doc["ellipticity_sample"])
 
+    def test_integration_error_exit_two(self, tmp_path, capsys):
+        code, _, err = run(capsys, "ode-connect",
+                           "--R0", "1.7095635533332825",
+                           "--A", "0.1522833537310362",
+                           "--c", "0.6908444119617343", "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: no bracket")
+
 
 class TestSurfaceCommands:
     def test_surface_orbits(self, tmp_path, capsys, sphere_file):
@@ -157,6 +182,14 @@ class TestSurfaceCommands:
         doc = json.load(open(report_path(tmp_path, "verify-pinch")))
         assert doc["pass"] is True
         assert doc["degenerate_levels"]
+
+    def test_hypothesis_error_exit_three(self, tmp_path, capsys,
+                                         off_center_file):
+        code, _, err = run(capsys, "surface-orbits", "--surface",
+                           off_center_file, "--seeds", "4",
+                           "--out", str(tmp_path))
+        assert code == 3
+        assert err.startswith("error: <nu, x>")
 
     def test_verify_pinch_not_applicable(self, tmp_path, capsys, fat_file):
         code, out, _ = run(capsys, "verify-pinch", "--surface", fat_file,

@@ -1,5 +1,5 @@
-"""Tests for starshaped-hypersurface geometry, Reeb fields, flows, and the
-graph-Hamiltonian correspondence over the unit sphere."""
+"""Tests for starshaped-hypersurface geometry, Reeb fields, the Reeb flow, and
+the graph-Hamiltonian correspondence over the unit sphere."""
 
 import json
 import math
@@ -9,6 +9,7 @@ import pytest
 
 from reebpinch.radial_profile import CoreParams, build_profile, verify_profile
 from reebpinch import contact_dynamics as cd
+from reebpinch.orbit_search import flow
 
 BASE = CoreParams(1.5, 0.5, 0.8)
 
@@ -110,20 +111,26 @@ class TestReebField:
 class TestFlow:
     def test_sphere_period(self, sphere):
         x = np.array([0.6, 0.0, 0.8, 0.0])
-        out = cd.flow(sphere, x, math.pi, tol=1e-12)
-        assert np.linalg.norm(out.endpoint - x) < 1e-10
-        assert out.action == pytest.approx(math.pi, abs=1e-10)
-        assert out.radial_residual < 1e-12
+        end = flow(sphere, x, math.pi, tol=1e-12)(math.pi)
+        assert np.linalg.norm(end - x) < 1e-10
+        assert sphere.radial_residual(end) < 1e-12
 
     def test_ellipsoid_coordinate_circle(self, ellipsoid):
         x = np.array([0.0, 0.0, 1.2, 0.0])
-        out = cd.flow(ellipsoid, x, math.pi * 1.44, tol=1e-12)
-        assert np.linalg.norm(out.endpoint - x) < 1e-10
-        assert out.action == pytest.approx(math.pi * 1.44, abs=1e-10)
+        end = flow(ellipsoid, x, math.pi * 1.44, tol=1e-12)(math.pi * 1.44)
+        assert np.linalg.norm(end - x) < 1e-10
 
     def test_off_surface_start_refused(self, sphere):
         with pytest.raises(cd.OffSurfaceError):
-            cd.flow(sphere, np.array([2.0, 0.0, 0.0, 0.0]), 1.0)
+            flow(sphere, np.array([2.0, 0.0, 0.0, 0.0]), 1.0)
+
+    def test_hypothesis_violation(self, space):
+        # on the sphere about (3, 0, 0, 0) the point (2, 0, 0, 0) has
+        # <nu, x> = -2
+        S = cd.StarshapedSurface(space, np.array([3.0, 0, 0, 0]), "sphere",
+                                 {"R": 1.0})
+        with pytest.raises(cd.HypothesisError):
+            flow(S, np.array([2.0, 0.0, 0.0, 0.0]), 1.0)
 
 
 class TestSampling:

@@ -68,17 +68,6 @@ class TestFindClosedOrbits:
         assert len(res) == 0
         assert res.stats.seeds == 4
 
-    def test_determinism_across_workers(self, ellipsoid):
-        window = (math.pi * 0.99, math.pi * 1.45)
-        a = osr.find_closed_orbits(ellipsoid, osr.SearchConfig(
-            seeds=6, action_window=window, workers=1))
-        b = osr.find_closed_orbits(ellipsoid, osr.SearchConfig(
-            seeds=6, action_window=window, workers=3))
-        assert len(a) == len(b)
-        for oa, ob in zip(a, b):
-            assert oa.period == ob.period
-            assert np.array_equal(oa.points, ob.points)
-
 
 class TestDeduplicate:
     def test_iterate_detection(self):
@@ -178,12 +167,3 @@ class TestEllipsoidOracle:
     def test_rejects_bad_radii(self):
         with pytest.raises(ValueError):
             osr.ellipsoid_oracle([1.0, -1.0], 2.0)
-
-
-class TestWorkerCount:
-    def test_explicit_and_env(self, monkeypatch):
-        assert osr.worker_count(3) == 3
-        monkeypatch.setenv("REEBPINCH_THREADS", "5")
-        assert osr.worker_count() == 5
-        monkeypatch.delenv("REEBPINCH_THREADS")
-        assert osr.worker_count() == 1

@@ -53,6 +53,13 @@ class TestValidateCore:
         assert not validate_core(1.5, 0.5, -0.1).passed
         assert not validate_core(float("nan"), 0.5, 0.8).passed
 
+    def test_tiny_c_fails_window_constraint(self):
+        # B = A exp((R0-1)/c) overflows; the triple fails c(B-A) < 1
+        rep = validate_core(1.5, 0.5, 1e-4)
+        assert rep.passed is False
+        assert rep.B == math.inf
+        assert rep.failed_constraints()[0][0] == "c(B-A) < 1"
+
     def test_slack_signs(self):
         rep = validate_core(1.5, 0.5, 0.8)
         assert all(s > 0 for _, s in rep.constraints)
