@@ -26,7 +26,6 @@ __all__ = [
     "DivergenceReport",
     "MinorReport",
     "IntegrationError",
-    "slope_one_level",
     "barrier_curve",
     "integrate_connecting",
     "verify_gap",
@@ -38,6 +37,9 @@ __all__ = [
 ]
 
 S_FROZEN_START = -3.0   # stored extent of the frozen branch F == A
+S_HORIZON = 50.0        # ODE end: 26 e-folding times R0/c of the base triple's approach
+_BARRIER_RTOL = 1e-12   # bisection width, 100x below the ODE tolerance 1e-10
+_ADJOINT_INNER_POINTS = 4001  # adjoint quadrature on [-1, 0], where psi varies
 
 
 class IntegrationError(RuntimeError):
@@ -48,42 +50,17 @@ class IntegrationError(RuntimeError):
 # slope-one barrier
 # ---------------------------------------------------------------------------
 
-def slope_one_level(H: MonotoneHomotopy, s: float, rtol: float = 1e-12) -> float:
-    """The unique rho in (0, R0 B] with h_s'(rho) = 1 (bisection; h_s is convex
-    below R0 B, so the root is unique)."""
-    core = H.profile.core
-    lo = H.profile.shape.delta_bar
-    hi = core.R0 * core.B
-
-    def g(r):
-        return float(H.dr(s, r)) - 1.0
-
-    glo, ghi = g(lo), g(hi)
-    if glo >= 0.0:
-        raise IntegrationError(f"no bracket for rho({s}): slope at {lo} is {glo + 1}")
-    if ghi < 0.0:
-        raise IntegrationError(f"no bracket for rho({s}): slope at {hi} is {ghi + 1}")
-    if ghi == 0.0:
-        return hi
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 @dataclass(frozen=True)
 class BarrierCurve:
     s_grid: np.ndarray
     rho: np.ndarray
-    homotopy_id: int
+    homotopy: MonotoneHomotopy = field(repr=False)
 
 
-def barrier_curve(H: MonotoneHomotopy, n: int = 1001,
-                  rtol: float = 1e-12) -> BarrierCurve:
-    """rho(s) on [-1, 0] by bisection vectorized over the whole s grid."""
+def barrier_curve(H: MonotoneHomotopy, n: int = 1001) -> BarrierCurve:
+    """rho(s) on [-1, 0]: the unique rho in (0, R0 B] with h_s'(rho) = 1,
+    by bisection vectorized over the whole s grid (h_s is convex below R0 B,
+    so the root is unique)."""
     core = H.profile.core
     s = np.linspace(-1.0, 0.0, n)
     lo = np.full(n, H.profile.shape.delta_bar)
@@ -97,13 +74,13 @@ def barrier_curve(H: MonotoneHomotopy, n: int = 1001,
         bad = float(s[np.argmax((glo >= 0.0) | (ghi < 0.0))])
         raise IntegrationError(f"no bracket for rho({bad})")
     exact = ghi == 0.0
-    while np.max(hi - lo - rtol * hi) > 0.0:
+    while np.max(hi - lo - _BARRIER_RTOL * hi) > 0.0:
         mid = 0.5 * (lo + hi)
         below = g(mid) < 0.0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     rho = np.where(exact, np.full(n, core.R0 * core.B), 0.5 * (lo + hi))
-    return BarrierCurve(s, rho, id(H))
+    return BarrierCurve(s, rho, H)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +92,6 @@ class ConnectingTrajectory:
     s_grid: np.ndarray
     F: np.ndarray
     G: np.ndarray
-    homotopy_id: int
     homotopy: MonotoneHomotopy
     step_stats: dict
     _sol: object = field(default=None, repr=False)
@@ -140,11 +116,10 @@ class ConnectingTrajectory:
         return np.exp(self.G_at(s))
 
 
-def integrate_connecting(H: MonotoneHomotopy, s_end: float = 50.0,
+def integrate_connecting(H: MonotoneHomotopy,
                          tol: float = 1e-10) -> ConnectingTrajectory:
-    """Integrate G' = 1 - h_s'(e^G) from the frozen branch out to s_end."""
-    if s_end <= 0.0:
-        raise ValueError("s_end must be positive")
+    """Integrate G' = 1 - h_s'(e^G) from the frozen branch until e^G reaches
+    R0 B, or out to S_HORIZON."""
     core = H.profile.core
     logA = math.log(core.A)
     target = core.R0 * core.B
@@ -157,7 +132,7 @@ def integrate_connecting(H: MonotoneHomotopy, s_end: float = 50.0,
     reached.terminal = True
     reached.direction = -1
 
-    sol = solve_ivp(rhs, (-1.0, s_end), [logA], method="RK45",
+    sol = solve_ivp(rhs, (-1.0, S_HORIZON), [logA], method="RK45",
                     rtol=tol, atol=tol, first_step=1e-3,
                     dense_output=True, events=reached)
     if not sol.success:
@@ -175,7 +150,7 @@ def integrate_connecting(H: MonotoneHomotopy, s_end: float = 50.0,
         "terminal_gap": float(target - F[-1]),
         "rhs_evals": int(sol.nfev),
     }
-    traj = ConnectingTrajectory(s_grid, F, G, id(H), H, stats, _sol=sol)
+    traj = ConnectingTrajectory(s_grid, F, G, H, stats, _sol=sol)
 
     # invariant guard: the trajectory never overshoots the target level
     if np.any(F > target + 10 * tol) or np.any(F < core.A - 10 * tol):
@@ -213,7 +188,7 @@ def ode_residual(traj: ConnectingTrajectory) -> np.ndarray:
 
 def verify_gap(traj: ConnectingTrajectory, barrier: BarrierCurve) -> float:
     """Minimum of rho(s) - F(s) over the interior of (-1, 0)."""
-    if barrier.homotopy_id != traj.homotopy_id:
+    if barrier.homotopy is not traj.homotopy:
         raise ValueError("trajectory and barrier come from different homotopies")
     inner = (barrier.s_grid > -1.0) & (barrier.s_grid < 0.0)
     s = barrier.s_grid[inner]
@@ -283,8 +258,7 @@ def zeta2_coefficient(traj: ConnectingTrajectory, s: float) -> float:
     return float(F * H.drr(s, F))
 
 
-def radial_adjoint_profile(traj: ConnectingTrajectory, n_interior: int = 4001,
-                           min_gap: float = 0.0):
+def radial_adjoint_profile(traj: ConnectingTrajectory):
     """Samples (s, X2(s)) of X2 = exp(int -1 - ds h_s' / (G' e^G)), X2(0) = 1.
 
     The fractional term is defined as 0 on the frozen branch and wherever the
@@ -294,7 +268,7 @@ def radial_adjoint_profile(traj: ConnectingTrajectory, n_interior: int = 4001,
     H = traj.homotopy
     barrier = barrier_curve(H, 201)
     margin = verify_gap(traj, barrier)
-    if margin <= min_gap:
+    if margin <= 0.0:
         raise ValueError(f"gap certificate failed (margin {margin}); refusing the "
                          "division by G'")
 
@@ -302,7 +276,7 @@ def radial_adjoint_profile(traj: ConnectingTrajectory, n_interior: int = 4001,
     s_hi = float(traj.s_grid[-1])
     s = np.unique(np.concatenate([
         np.linspace(s_lo, -1.0, 81),
-        np.linspace(-1.0, 0.0, n_interior),
+        np.linspace(-1.0, 0.0, _ADJOINT_INNER_POINTS),
         np.linspace(0.0, s_hi, 801),
     ]))
 
@@ -363,10 +337,8 @@ def ellipticity_grid_report(points) -> list:
 # export
 # ---------------------------------------------------------------------------
 
-def trajectory_to_csv(traj: ConnectingTrajectory, barrier: Optional[BarrierCurve] = None) -> str:
+def trajectory_to_csv(traj: ConnectingTrajectory, barrier: BarrierCurve) -> str:
     """CSV dump "s,F,G,rho,margin"; rho/margin blank outside [-1, 0]."""
-    if barrier is None:
-        barrier = barrier_curve(traj.homotopy, 201)
     buf = io.StringIO()
     buf.write("s,F,G,rho,margin\n")
     for s, F, G in zip(traj.s_grid, traj.F, traj.G):

@@ -21,8 +21,8 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -59,6 +59,11 @@ __all__ = [
 ]
 
 ON_SURFACE_TOL = 1e-9
+
+_SPHERE_SAMPLES = 4096     # pinch/hypothesis directions, ~0.1 rad apart on S^3
+_HAMILTONIAN_POINTS = 256  # graph-orbit samples, as many as a searched Reeb orbit
+_HAMILTONIAN_TOL = 1e-12   # near round-off, so closure and r/f spread show the orbit
+_RF_SPREAD_TOL = 1e-6      # r/f is constant on an orbit; a larger spread rejects it
 
 # Radial sign in the graph Hamiltonian vector field.  With the conventions
 # above the contraction identity i_X d(r*abar) = -d h_f forces +1; the module
@@ -259,21 +264,20 @@ def sphere_directions(dim: int, count: int, seed: int = 0) -> np.ndarray:
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
-def hypothesis_margin(surface: StarshapedSurface, R1: float,
-                      sample_count: int = 4096, seed: int = 0) -> float:
-    """min <nu(z), z - x0> - R1 over a quasi-uniform sample; positive
-    certifies the period-bound hypothesis."""
-    u = sphere_directions(surface.space.dim, sample_count, seed)
+def hypothesis_margin(surface: StarshapedSurface, R1: float) -> float:
+    """min <nu(z), z - x0> - R1 over a sample of 4096 quasi-uniform
+    directions; a positive value means the period-bound hypothesis holds at
+    every sampled point (a sample, not a certificate over the whole surface)."""
+    u = sphere_directions(surface.space.dim, _SPHERE_SAMPLES)
     z = surface.point(u)
     nu = surface.normals(z)
     return float(np.min(np.sum(nu * (z - surface.center), axis=-1)) - R1)
 
 
-def pinch_radii(surface: StarshapedSurface, sample_count: int = 4096,
-                seed: int = 0):
+def pinch_radii(surface: StarshapedSurface):
     """(R1, R2, ratio_ok): extremal radii |x - x0|, refined by local
     optimization from the best sampled directions; ratio_ok iff R2/R1 < sqrt 2."""
-    u = sphere_directions(surface.space.dim, sample_count, seed)
+    u = sphere_directions(surface.space.dim, _SPHERE_SAMPLES)
     r = surface.rho(u)
 
     def refine(u0, sign):
@@ -306,6 +310,7 @@ class ReebOrbit:
     action: float
     closure_residual: float
     multiplicity: int = 1
+    iterate_multiplicities: tuple = (1,)  # k of the k-fold iterates folded in
 
     def resample(self, count: int) -> np.ndarray:
         """Uniform-in-index resample of the point loop (for set comparisons)."""
@@ -313,11 +318,10 @@ class ReebOrbit:
         return self.points[idx]
 
 
-def orbit_to_csv(orbit: ReebOrbit, times: Optional[np.ndarray] = None) -> str:
-    """CSV dump "t,x_1,...,x_2n" of the orbit samples."""
+def orbit_to_csv(orbit: ReebOrbit) -> str:
+    """CSV dump "t,x_1,...,x_2n" of the orbit samples, uniform in t."""
     n_cols = orbit.points.shape[1]
-    if times is None:
-        times = np.linspace(0.0, orbit.period, len(orbit.points))
+    times = np.linspace(0.0, orbit.period, len(orbit.points))
     buf = io.StringIO()
     buf.write("t," + ",".join(f"x_{i + 1}" for i in range(n_cols)) + "\n")
     for t, p in zip(times, orbit.points):
@@ -346,15 +350,12 @@ class GraphFunction:
     space: AmbientSpace
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
-    provenance: str = ""
 
     @classmethod
-    def constant(cls, space: AmbientSpace, c: float,
-                 provenance: str = "constant") -> "GraphFunction":
+    def constant(cls, space: AmbientSpace, c: float) -> "GraphFunction":
         return cls(space,
                    lambda u: np.broadcast_to(float(c), np.shape(u)[:-1]).copy(),
-                   lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-                   provenance)
+                   lambda u: np.zeros_like(np.asarray(u, dtype=float)))
 
     def df(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Differential along sphere tangent vectors (tangential gradient)."""
@@ -380,9 +381,7 @@ def radial_to_graph(surface: StarshapedSurface):
     def grad(u):
         return 2.0 * surface.rho(u)[..., None] * surface.rho_grad(u) / R1 ** 2
 
-    f = GraphFunction(surface.space, value, grad,
-                      provenance=f"radial_to_graph:{surface.kind}")
-    return f, math.pi * R1 ** 2
+    return GraphFunction(surface.space, value, grad), math.pi * R1 ** 2
 
 
 # -- normalized sphere forms (prequantization units) -------------------------
@@ -417,7 +416,7 @@ class GraphField:
 
     reeb: np.ndarray    # component along Rbar
     xi: np.ndarray      # component in the contact hyperplane
-    radial: float       # coefficient of d/dr
+    radial: np.ndarray  # coefficient of d/dr (one per point of a stack)
 
     @property
     def sphere(self) -> np.ndarray:
@@ -450,15 +449,15 @@ def reeb_on_graph(f: GraphFunction, x: np.ndarray) -> GraphField:
 
         R_f = (1/f) Rbar - (1/f^2) V_f + df(U) d/dr
 
-    with U the sphere part; satisfies alpha_f(R_f) = 1.
+    with U the sphere part; satisfies alpha_f(R_f) = 1.  Vectorized over
+    the leading axes of x.
     """
     x = np.asarray(x, dtype=float)
-    fv = float(f.value(x))
+    fv = np.asarray(f.value(x), dtype=float)[..., None]
     V = v_f_field(f, x)
     Rb = _rbar(f.space, x)
     U = Rb / fv - V / fv ** 2
-    return GraphField(reeb=Rb / fv, xi=-V / fv ** 2,
-                      radial=float(f.df(x, U)))
+    return GraphField(reeb=Rb / fv, xi=-V / fv ** 2, radial=f.df(x, U))
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +472,9 @@ class HamiltonianOrbit:
     r: np.ndarray            # (N,) radial part
     closure_residual: float  # |(x, r)(1) - (x, r)(0)| from the integration
 
-    @property
-    def samples(self) -> int:
-        return len(self.r)
-
 
 def integrate_hamiltonian_orbit(profile: RadialProfile, f: GraphFunction,
-                                x0: np.ndarray, c: float, n_samples: int = 256,
-                                tol: float = 1e-12) -> HamiltonianOrbit:
+                                x0: np.ndarray, c: float) -> HamiltonianOrbit:
     """Integrate X_{h_f} over [0, 1] from (x0, c f(x0)) and sample uniformly."""
     x0 = np.asarray(x0, dtype=float)
     x0 = x0 / np.linalg.norm(x0)
@@ -493,12 +487,13 @@ def integrate_hamiltonian_orbit(profile: RadialProfile, f: GraphFunction,
         return np.append(X.sphere, X.radial)
 
     y0 = np.append(x0, r0)
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=tol, atol=tol,
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853",
+                    rtol=_HAMILTONIAN_TOL, atol=_HAMILTONIAN_TOL,
                     dense_output=True)
     if not sol.success:
         raise RuntimeError(f"Hamiltonian orbit integration failed: {sol.message}")
     closure = float(np.linalg.norm(sol.y[:, -1] - y0))
-    t = np.arange(n_samples) / n_samples
+    t = np.arange(_HAMILTONIAN_POINTS) / _HAMILTONIAN_POINTS
     Y = sol.sol(t).T
     x = Y[:, :-1]
     x = x / np.linalg.norm(x, axis=-1, keepdims=True)
@@ -524,8 +519,7 @@ class CorrespondenceResult:
 
 
 def orbit_correspondence(profile: RadialProfile, f: GraphFunction,
-                         gamma: HamiltonianOrbit,
-                         rf_tol: float = 1e-6) -> CorrespondenceResult:
+                         gamma: HamiltonianOrbit) -> CorrespondenceResult:
     """Turn a 1-periodic orbit of X_{h_f} into a Reeb orbit of alpha_f.
 
     Along such an orbit r(t) = c f(x(t)) for a constant c; the loop
@@ -536,7 +530,7 @@ def orbit_correspondence(profile: RadialProfile, f: GraphFunction,
     ratios = gamma.r / f.value(gamma.x)
     c = float(np.mean(ratios))
     spread = float(np.max(ratios) - np.min(ratios))
-    if spread > rf_tol * max(1.0, abs(c)):
+    if spread > _RF_SPREAD_TOL * max(1.0, abs(c)):
         raise ValueError(
             f"r/f spread {spread:.3e} exceeds tolerance: not a 1-periodic "
             "Hamiltonian orbit")
@@ -544,11 +538,9 @@ def orbit_correspondence(profile: RadialProfile, f: GraphFunction,
     fz = np.asarray(f.value(gamma.x), dtype=float)
     pts = np.column_stack([gamma.x, fz])
     zdot = _fft_derivative(pts, T)
-    resid = 0.0
-    for k in range(gamma.samples):
-        Rf = reeb_on_graph(f, gamma.x[k])
-        target = np.append(Rf.sphere, Rf.radial)
-        resid = max(resid, float(np.linalg.norm(zdot[k] - target)))
+    Rf = reeb_on_graph(f, gamma.x)
+    target = np.column_stack([Rf.sphere, Rf.radial])
+    resid = float(np.max(np.linalg.norm(zdot - target, axis=-1)))
     # action of the Reeb orbit: int alpha_f(zeta') dt = T in these units
     abar_dot = _abar(f.space, gamma.x, zdot[:, :-1])
     action = T * float(np.mean(fz * abar_dot))

@@ -19,6 +19,7 @@ from scipy.integrate import solve_ivp
 from .contact_dynamics import (
     ReebOrbit,
     StarshapedSurface,
+    _fft_derivative,
     hypothesis_margin,
     pinch_radii,
     sphere_directions,
@@ -40,6 +41,9 @@ __all__ = [
 
 _ORBIT_SAMPLES = 256
 _FLOW_TOL = 1e-12
+_TRIAL_PERIODS = 16    # coarse scan: step < lo/15 on a pinched window (hi < 2 lo)
+_LM_ITERS = 16         # polish-stage LM budget; the cheaper wide stage gets 3x
+_PERIOD_SLACK = 1e-8   # T >= pi R1^2 up to the period accuracy of the search
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,6 @@ class SearchConfig:
     closure_tol: float = 1e-9
     dedupe_tol: float = 1e-3
     rng_seed: int = 20260823
-    max_refinements: int = 16
-    period_grid: int = 16
 
     def __post_init__(self):
         lo, hi = self.action_window
@@ -119,9 +121,9 @@ def flow(surface: StarshapedSurface, states: np.ndarray, T: float,
 # multistart search
 # ---------------------------------------------------------------------------
 
-def _coarse_candidate(surface, x0, lo, hi, n_grid):
+def _coarse_candidate(surface, x0, lo, hi):
     """Best trial period for a seed: scan the return distance on a grid."""
-    Ts = np.linspace(lo, hi, n_grid)
+    Ts = np.linspace(lo, hi, _TRIAL_PERIODS)
     pts = flow(surface, x0, hi, tol=1e-10)(Ts)
     dist = np.linalg.norm(pts - x0, axis=-1)
     return float(Ts[np.argmin(dist)]), float(np.min(dist))
@@ -149,13 +151,13 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
         if best < target:
             break
         # all FD states of this candidate ride in a single integration
-        pert = np.vstack([y] + [surface.project(y + fd * e) for e in eye])
-        out = flow(surface, pert, T, tol)(T)
+        fd_states = [surface.project(y + fd * e) for e in eye]
+        out = flow(surface, np.vstack([y] + fd_states), T, tol)(T)
         phi = out[0]
         R_here = surface.reeb(y)
         Jac = np.zeros((dim + 1, dim + 1))
         for j in range(dim):
-            dy = surface.project(y + fd * eye[j]) - y
+            dy = fd_states[j] - y
             Jac[:dim, j] = (out[j + 1] - phi) / fd - dy / fd
             Jac[dim, j] = dy @ R_here / fd
         Jac[:dim, dim] = surface.reeb(phi)
@@ -190,10 +192,10 @@ def _refine_candidate(surface, x0, T0, cfg):
     """Two-stage refinement: cheap wide-basin descent, then a high-accuracy
     polish that drives the closure residual to the integration floor."""
     y, T, best = _lm_stage(surface, x0.copy(), T0, cfg, tol=1e-8, fd=1e-5,
-                           iters=3 * cfg.max_refinements, target=1e-6)
+                           iters=3 * _LM_ITERS, target=1e-6)
     if best < 1e-3:
         y, T, best = _lm_stage(surface, y, T, cfg, tol=_FLOW_TOL, fd=1e-7,
-                               iters=cfg.max_refinements,
+                               iters=_LM_ITERS,
                                target=max(1e-12, 1e-3 * cfg.closure_tol))
     return y, T, best
 
@@ -226,7 +228,7 @@ def find_closed_orbits(surface: StarshapedSurface,
     orbits = []
     tol_pad = 10 * cfg.closure_tol
     for x0 in seeds:
-        T0, _ = _coarse_candidate(surface, x0, lo, hi, cfg.period_grid)
+        T0, _ = _coarse_candidate(surface, x0, lo, hi)
         y, T, res = _refine_candidate(surface, x0, T0, cfg)
         if res < cfg.closure_tol:
             stats.converged += 1
@@ -266,7 +268,8 @@ def deduplicate(orbits: Sequence[ReebOrbit], tol: float) -> List[ReebOrbit]:
     """Group orbits by point-set match, drop iterates, keep minimal periods.
 
     Iterates are detected by T close to k * T_min with integer k <= 8 on a
-    matching point set; each representative records the multiplicities seen.
+    matching point set; each representative records the multiplicities seen
+    in ``iterate_multiplicities``.
     The output is sorted by action.
     """
     remaining = sorted(orbits, key=lambda o: (o.period, tuple(o.points[0])))
@@ -287,7 +290,6 @@ def deduplicate(orbits: Sequence[ReebOrbit], tol: float) -> List[ReebOrbit]:
             reps.append(orb)
             seen_mults.append({1})
     for rep, mults in zip(reps, seen_mults):
-        rep.multiplicity = 1
         rep.iterate_multiplicities = tuple(sorted(mults))
     reps.sort(key=lambda o: (o.action, tuple(o.points[0])))
     return reps
@@ -313,7 +315,6 @@ class SpectrumReport:
 
 
 def verify_pinching_theorem(surface: StarshapedSurface,
-                            cfg: Optional[SearchConfig] = None,
                             seeds: int = 64,
                             rng_seed: int = 20260823) -> SpectrumReport:
     """Search the closed action window [pi R1^2, pi R2^2] and verify the
@@ -329,13 +330,11 @@ def verify_pinching_theorem(surface: StarshapedSurface,
     window = (math.pi * R1 ** 2, math.pi * R2 ** 2)
     if not ratio_ok:
         return SpectrumReport([], 0, n, window, None, R1, R2, ratio)
-    if cfg is None:
-        lo, hi = window
-        if hi - lo < 1e-9 * max(1.0, lo):
-            # degenerate window (round sphere): pad the search interval only
-            lo, hi = lo * (1.0 - 1e-3), hi * (1.0 + 1e-3)
-        cfg = SearchConfig(seeds=seeds, action_window=(lo, hi),
-                           rng_seed=rng_seed)
+    lo, hi = window
+    if hi - lo < 1e-9 * max(1.0, lo):
+        # degenerate window (round sphere): pad the search interval only
+        lo, hi = lo * (1.0 - 1e-3), hi * (1.0 + 1e-3)
+    cfg = SearchConfig(seeds=seeds, action_window=(lo, hi), rng_seed=rng_seed)
     found = find_closed_orbits(surface, cfg)
     reps = deduplicate(found.orbits, cfg.dedupe_tol)
 
@@ -423,10 +422,7 @@ def _wirtinger_chain(orbit: ReebOrbit, R1: float) -> List[ChainLink]:
     <= (T/2pi)(2/R1)^2 T with mean-free gbar."""
     T = orbit.period
     pts = orbit.points[:-1]           # drop the duplicated closing sample
-    n = len(pts)
-    k = np.fft.fftfreq(n, d=T / n)
-    gdot = np.real(np.fft.ifft(2j * math.pi * k[:, None]
-                               * np.fft.fft(pts, axis=0), axis=0))
+    gdot = _fft_derivative(pts, T)
     gbar = pts - pts.mean(axis=0)
     sq_speed = float(np.mean(np.sum(gdot ** 2, axis=-1)) * T)
     l2_gdot = math.sqrt(sq_speed)
@@ -442,8 +438,7 @@ def _wirtinger_chain(orbit: ReebOrbit, R1: float) -> List[ChainLink]:
 
 
 def verify_period_bound(surface: StarshapedSurface,
-                        orbits: Sequence[ReebOrbit], R1: float,
-                        tol: float = 1e-8) -> BoundReport:
+                        orbits: Sequence[ReebOrbit], R1: float) -> BoundReport:
     """T >= pi R1^2 for every orbit, plus the full Wirtinger chain, provided
     the hypothesis <nu(z), z> > R1 holds (else the bound is not asserted)."""
     margin = hypothesis_margin(surface, R1)
@@ -452,7 +447,8 @@ def verify_period_bound(surface: StarshapedSurface,
     entries = []
     bound = math.pi * R1 ** 2
     for orb in orbits:
-        entries.append(OrbitBound(orb.period, bound, orb.period - bound + tol,
+        entries.append(OrbitBound(orb.period, bound,
+                                  orb.period - bound + _PERIOD_SLACK,
                                   _wirtinger_chain(orb, R1)))
     return BoundReport(asserted=margin > 0.0, margin=margin, R1=R1,
                        entries=entries)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,6 +52,8 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(40)
 
 # Membership in the half-open action window is decided with this guard band.
 FORBIDDEN_GUARD = 1e-12
+
+_VERIFY_MIN_POINTS = 10_000  # verify_profile grid floor; long profiles get 200/log r
 
 
 class BuildError(ValueError):
@@ -310,6 +312,8 @@ class RadialProfile:
         return np.searchsorted(self.boundaries, t, side="right")
 
     def _eval(self, r, what: str):
+        """h, h' or h'' at r; a scalar for scalar r, else an array."""
+        scalar = np.ndim(r) == 0
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r < 0.0) or (what != "h" and np.any(r == 0.0)):
             raise ValueError("profile evaluation requires r > 0")
@@ -328,28 +332,21 @@ class RadialProfile:
                 out[m] = piece.slope(t[m]) / s
             else:
                 out[m] = piece.dslope_dt(t[m]) / rr[m] / (s * s)
-        return out
+        return out[0] if scalar else out
 
     def h(self, r):
-        out = self._eval(r, "h")
-        return out[0] if np.isscalar(r) or np.ndim(r) == 0 else out
+        return self._eval(r, "h")
 
     def dh(self, r):
-        out = self._eval(r, "dh")
-        return out[0] if np.isscalar(r) or np.ndim(r) == 0 else out
+        return self._eval(r, "dh")
 
     def d2h(self, r):
-        out = self._eval(r, "d2h")
-        return out[0] if np.isscalar(r) or np.ndim(r) == 0 else out
+        return self._eval(r, "d2h")
 
     def action(self, r):
         """A_H(r) = r h'(r) - h(r)."""
         r_arr = np.asarray(r, dtype=float)
-        return r_arr * self._eval_like(r, "dh") - self._eval_like(r, "h")
-
-    def _eval_like(self, r, what):
-        out = self._eval(r, what)
-        return out[0] if np.isscalar(r) or np.ndim(r) == 0 else out
+        return r_arr * self._eval(r, "dh") - self._eval(r, "h")
 
     # -- certification ------------------------------------------------------
 
@@ -358,10 +355,6 @@ class RadialProfile:
         if self.kind == "rescaled":
             return self._base is not None and self._base.certified
         return self._report is not None and self._report.passed
-
-    @property
-    def report(self) -> Optional["PropertyReport"]:
-        return self._report
 
     def grid(self, n: int) -> np.ndarray:
         """Log-spaced evaluation grid covering the whole nontrivial range."""
@@ -579,19 +572,8 @@ class PropertyReport:
     passed: bool
     bullets: tuple
 
-    def __getitem__(self, name: str) -> BulletCheck:
-        for b in self.bullets:
-            if b.name == name:
-                return b
-        raise KeyError(name)
 
-    def summary(self) -> str:
-        lines = [f"{'PASS' if b.passed else 'FAIL'}  {b.name}  margin={b.margin:.6g}"
-                 for b in self.bullets]
-        return "\n".join(lines)
-
-
-def verify_profile(p: RadialProfile, grid_density: int = 10_000) -> PropertyReport:
+def verify_profile(p: RadialProfile) -> PropertyReport:
     """Grid-check the full property list of the profile; also certifies it."""
     if p.kind != "base":
         raise ValueError("verify_profile applies to the base profile")
@@ -599,7 +581,7 @@ def verify_profile(p: RadialProfile, grid_density: int = 10_000) -> PropertyRepo
     R0, A, c = core.R0, core.A, core.c
     B = core.B
     span = math.log(shape.r_flat * 2.0) - math.log(shape.delta_bar / 2.0)
-    n = max(int(grid_density), int(math.ceil(span * 200)))
+    n = max(_VERIFY_MIN_POINTS, int(math.ceil(span * 200)))
     r = p.grid(n)
     t = np.log(r)
     dh = p.dh(r)
@@ -729,9 +711,6 @@ class MonotoneHomotopy:
 
     def dsdr(self, s, r):
         return self.dbeta(s) * (self.profile.dh(r) - self.resc.dh(r))
-
-    def ds(self, s, r):
-        return self.dbeta(s) * (self.profile.h(r) - self.resc.h(r))
 
 
 def homotopy_eval(H: MonotoneHomotopy, s: float, r: float):

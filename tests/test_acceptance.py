@@ -105,7 +105,7 @@ def test_criterion_1_parameter_certification():
 
 def test_criterion_2_profile_certification(profile):
     t0 = time.perf_counter()
-    rep = verify_profile(profile, grid_density=10_000)
+    rep = verify_profile(profile)
     r = profile.grid(10_000)
     margin = float(np.min(1.0 - np.abs(r * profile.d2h(r))))
     rs = np.linspace(BASE.A, BASE.B, 2000)
@@ -278,7 +278,7 @@ def test_criterion_8_determinism(tmp_path, capsys):
         files = [f for f in os.listdir(out)
                  if f.endswith("_verify-ellipsoid.json")]
         assert len(files) == 1
-        reports.append((files[0], open(out / files[0], "rb").read()))
+        reports.append((files[0], (out / files[0]).read_bytes()))
     with capsys.disabled():
         check(8, "determinism", {
             "same file name": reports[0][0] == reports[1][0],

@@ -4,6 +4,7 @@ handling, report files, and deterministic serialization."""
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,10 @@ def report_path(out_dir, tag):
     files = [f for f in os.listdir(out_dir) if f.endswith(f"_{tag}.json")]
     assert len(files) == 1, files
     return os.path.join(out_dir, files[0])
+
+
+def load_report(out_dir, tag):
+    return json.loads(Path(report_path(out_dir, tag)).read_text())
 
 
 @pytest.fixture()
@@ -61,7 +66,7 @@ class TestProfileCheck:
                            "0.5", "--c", "0.8", "--out", str(tmp_path))
         assert code == 0
         assert "admissible" in out
-        doc = json.load(open(report_path(tmp_path, "profile-check")))
+        doc = load_report(tmp_path, "profile-check")
         assert doc["ok"] is True
         assert abs(doc["B"] - 0.5 * math.exp(0.625)) < 1e-15
 
@@ -70,7 +75,7 @@ class TestProfileCheck:
                            "0.5", "--c", "0.9", "--out", str(tmp_path))
         assert code == 2
         assert "c < (R0-1)/(1-log R0)" in out
-        doc = json.load(open(report_path(tmp_path, "profile-check")))
+        doc = load_report(tmp_path, "profile-check")
         assert doc["ok"] is False
         assert doc["first_failure"] == "c < (R0-1)/(1-log R0)"
 
@@ -116,7 +121,7 @@ class TestConfigHandling:
         f1 = report_path(d1, "profile-check")
         f2 = report_path(d2, "profile-check")
         assert os.path.basename(f1) == os.path.basename(f2)
-        assert open(f1).read() == open(f2).read()
+        assert Path(f1).read_text() == Path(f2).read_text()
 
     def test_distinct_commands_distinct_hashes(self, tmp_path, capsys):
         run(capsys, "ode-connect", "--out", str(tmp_path))
@@ -132,7 +137,7 @@ class TestOdeCommands:
         code, _, _ = run(capsys, "ode-connect", "--out", str(tmp_path),
                          "--json")
         assert code == 0
-        doc = json.load(open(report_path(tmp_path, "ode-connect")))
+        doc = load_report(tmp_path, "ode-connect")
         assert abs(doc["F_end"] - doc["target"]) < 1e-6
         assert doc["gap_margin"] > 0.0
         assert doc["max_step_residual"] <= 1e-9
@@ -143,7 +148,7 @@ class TestOdeCommands:
     def test_ode_probe(self, tmp_path, capsys):
         code, _, _ = run(capsys, "ode-probe", "--out", str(tmp_path))
         assert code == 0
-        doc = json.load(open(report_path(tmp_path, "ode-probe")))
+        doc = load_report(tmp_path, "ode-probe")
         assert doc["zeta2_coefficient"] == 0.8
         assert all(p["ratio"] >= 10.0 or p["blow_up"]
                    for p in doc["probes"])
@@ -166,7 +171,7 @@ class TestSurfaceCommands:
                            f"{0.9 * math.pi},{1.1 * math.pi}",
                            "--out", str(tmp_path))
         assert code == 0
-        doc = json.load(open(report_path(tmp_path, "surface-orbits")))
+        doc = load_report(tmp_path, "surface-orbits")
         assert doc["search"]["converged"] == 4
         assert all(abs(o["T"] - math.pi) < 1e-8 for o in doc["orbits"])
 
@@ -179,7 +184,7 @@ class TestSurfaceCommands:
         code, out, _ = run(capsys, "verify-pinch", "--surface", sphere_file,
                            "--seeds", "8", "--out", str(tmp_path))
         assert code == 0
-        doc = json.load(open(report_path(tmp_path, "verify-pinch")))
+        doc = load_report(tmp_path, "verify-pinch")
         assert doc["pass"] is True
         assert doc["degenerate_levels"]
 
@@ -209,7 +214,7 @@ class TestSurfaceCommands:
         code, _, _ = run(capsys, "verify-ellipsoid", "--radii", "1.0,1.2",
                          "--seeds", "24", "--out", str(tmp_path))
         assert code == 0
-        doc = json.load(open(report_path(tmp_path, "verify-ellipsoid")))
+        doc = load_report(tmp_path, "verify-ellipsoid")
         assert doc["oracle_matched"] is True
         assert doc["oracle_actions"] == pytest.approx(
             [math.pi, 1.44 * math.pi])
@@ -223,7 +228,7 @@ class TestReportRoundTrip:
         out2 = tmp_path / "second"
         code, _, _ = run(capsys, "report", "--input", src, "--out", str(out2))
         assert code == 0
-        doc = json.load(open(report_path(out2, "report")))
+        doc = load_report(out2, "report")
         assert doc["n_orbits"] == 2
         assert doc["all_in_window"] is True
         assert doc["pass"] is True
@@ -247,12 +252,12 @@ class TestSerialization:
     def test_manifest_excluded_from_report(self, tmp_path, capsys):
         run(capsys, "profile-check", "--R0", "1.5", "--A", "0.5", "--c",
             "0.8", "--out", str(tmp_path))
-        rep = open(report_path(tmp_path, "profile-check")).read()
+        rep = Path(report_path(tmp_path, "profile-check")).read_text()
         assert "wall_time" not in rep
         manifest = [f for f in os.listdir(tmp_path)
                     if f.endswith("_manifest.json")]
         assert len(manifest) == 1
-        doc = json.load(open(tmp_path / manifest[0]))
+        doc = json.loads((tmp_path / manifest[0]).read_text())
         assert doc["tool"] == "reebpinch"
         assert doc["wall_time_s"] >= 0.0
 
@@ -261,5 +266,5 @@ class TestSerialization:
         for d in (d1, d2):
             run(capsys, "profile-check", "--R0", "1.5", "--A", "0.5",
                 "--c", "0.8", "--out", str(d))
-        assert open(report_path(d1, "profile-check")).read() \
-            == open(report_path(d2, "profile-check")).read()
+        assert Path(report_path(d1, "profile-check")).read_text() \
+            == Path(report_path(d2, "profile-check")).read_text()

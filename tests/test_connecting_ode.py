@@ -13,7 +13,6 @@ from reebpinch.connecting_ode import (
     integrate_connecting,
     ode_residual,
     radial_adjoint_profile,
-    slope_one_level,
     trajectory_to_csv,
     uniqueness_probe,
     verify_gap,
@@ -40,11 +39,9 @@ def barrier(homotopy):
 
 
 class TestBarrier:
-    def test_endpoint_levels(self, homotopy):
-        assert slope_one_level(homotopy, -1.0) == pytest.approx(BASE.A,
-                                                                rel=1e-10)
-        assert slope_one_level(homotopy, 0.0) == pytest.approx(
-            BASE.R0 * BASE.B, rel=1e-10)
+    def test_endpoint_levels(self, barrier):
+        assert barrier.rho[0] == pytest.approx(BASE.A, rel=1e-10)
+        assert barrier.rho[-1] == pytest.approx(BASE.R0 * BASE.B, rel=1e-10)
 
     def test_monotone(self, barrier):
         assert np.all(np.diff(barrier.rho) >= -1e-12)
@@ -84,6 +81,16 @@ class TestConnectingTrajectory:
         other = barrier_curve(MonotoneHomotopy(build_profile(BASE)), 101)
         with pytest.raises(ValueError):
             verify_gap(trajectory, other)
+
+    def test_gap_rejects_barrier_of_dropped_homotopy(self):
+        # the barrier is its homotopy's only holder; fresh homotopies of
+        # another profile may be allocated where it lived
+        other = build_profile(CoreParams(1.5, 0.4, 0.7))
+        barrier = barrier_curve(MonotoneHomotopy(build_profile(BASE)), 201)
+        for _ in range(4):
+            traj = integrate_connecting(MonotoneHomotopy(other), tol=TOL)
+            with pytest.raises(ValueError):
+                verify_gap(traj, barrier)
 
 
 class TestLinearizedData:

@@ -307,6 +307,21 @@ class TestCorrespondence:
                                                 abs=1e-8)
         assert abs(res.zeta.action - res.zeta.period) < 1e-8
 
+    def test_batched_residual_matches_pointwise(self, profile, graph_f):
+        # reference: R_f evaluated one sample at a time on both circles
+        cases = [(np.array([1.0, 0, 0, 0]), BASE.A),
+                 (np.array([0, 0, 1.0, 0]), BASE.A * math.exp(0.44 / BASE.c))]
+        for x0, c in cases:
+            gam = cd.integrate_hamiltonian_orbit(profile, graph_f, x0, c)
+            res = cd.orbit_correspondence(profile, graph_f, gam)
+            zdot = cd._fft_derivative(res.zeta.points, res.zeta.period)
+            resid = 0.0
+            for k in range(len(gam.r)):
+                Rf = cd.reeb_on_graph(graph_f, gam.x[k])
+                target = np.append(Rf.sphere, Rf.radial)
+                resid = max(resid, float(np.linalg.norm(zdot[k] - target)))
+            assert abs(res.reeb_residual - resid) <= 1e-15
+
     def test_rejects_non_orbit(self, profile, graph_f):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(64, 4))

@@ -62,8 +62,7 @@ class TestFindClosedOrbits:
         # no closed orbits in a window far below the shortest period
         fat = cd.StarshapedSurface(space, np.zeros(4), "ellipsoid",
                                    {"radii": [1.0, 1.4]})
-        cfg = osr.SearchConfig(seeds=4, action_window=(0.3, 0.5),
-                               max_refinements=2)
+        cfg = osr.SearchConfig(seeds=4, action_window=(0.3, 0.5))
         res = osr.find_closed_orbits(fat, cfg)
         assert len(res) == 0
         assert res.stats.seeds == 4
@@ -84,6 +83,7 @@ class TestDeduplicate:
         reps = osr.deduplicate([a, b], tol=1e-3)
         assert len(reps) == 2
         assert [r.action for r in reps] == sorted(r.action for r in reps)
+        assert all(r.iterate_multiplicities == (1,) for r in reps)
 
     def test_sphere_family_not_merged(self, sphere_result):
         # distinct great circles share the action but not the point set
