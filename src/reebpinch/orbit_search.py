@@ -14,7 +14,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# The Reeb flow does not use solve_ivp.  The name stays bound because
+# perfbench's tracer wraps ``orbit_search.solve_ivp`` (its count now reads 0).
+from scipy.integrate import solve_ivp  # noqa: F401
+from scipy.integrate._ivp import dop853_coefficients
 
 from .contact_dynamics import (
     ReebOrbit,
@@ -65,8 +68,8 @@ class SearchConfig:
 @dataclass
 class SearchStats:
     seeds: int = 0
-    converged: int = 0
-    accepted: int = 0
+    converged: int = 0      # seeds with at least one converged candidate
+    accepted: int = 0       # orbits accepted before dedupe; can exceed seeds
 
 
 @dataclass
@@ -88,45 +91,259 @@ class SearchResult:
 # the Reeb flow
 # ---------------------------------------------------------------------------
 
-def flow(surface: StarshapedSurface, states: np.ndarray, T: float,
-         tol: float = _FLOW_TOL):
-    """Integrate xdot = R(x) for time T from a stack of on-surface states.
+# DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.10) with scipy's tableau
+# and step-size controller, so that a lone request takes solve_ivp's steps.
+_N_STAGES = dop853_coefficients.N_STAGES
+_A = dop853_coefficients.A
+_C = dop853_coefficients.C
+_B = dop853_coefficients.B
+_E3 = dop853_coefficients.E3
+_E5 = dop853_coefficients.E5
+_D = dop853_coefficients.D
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0         # -1 / (error estimator order + 1)
 
-    The states ride in one DOP853 integration.  Returns the dense solution
-    as a callable t -> states, shaped like ``states`` for scalar t and with a
-    leading time axis for an array of times.  Raises OffSurfaceError for a
-    start state off the surface and HypothesisError where <nu, x> <= 0.
+
+def _combine(coef: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """sum_s coef[s] K[s], accumulated stage by stage for every element, so a
+    row's value does not depend on the other rows in K."""
+    return (coef[:, None, None] * K[:len(coef)]).sum(axis=0)
+
+
+class _Batch:
+    """The live requests of a flow call and their stacked rows.
+
+    Rows are stacked request by request and ``owner`` maps a row to its
+    request.  Every per-row operation is elementwise and every per-request
+    quantity is a reduction over that request's own rows, so a request's
+    result does not depend on what else is in the batch.
     """
-    states = np.asarray(states, dtype=float)
-    surface.require_on_surface(states)
-    shape = states.shape
 
-    def rhs(t, y):
-        X = y.reshape(shape)
-        return surface.reeb(X).reshape(-1)
+    def __init__(self, surface, ids, y, T, tol, rows, plans):
+        self.ids = np.asarray(ids)                # index into the call's list
+        self.y = y                                # (N, d) current states
+        self.T = np.asarray(T, dtype=float)
+        self.tol = np.asarray(tol, dtype=float)
+        self.rows = np.asarray(rows)
+        self.plans = plans
+        self.t = np.zeros(len(self.ids))
+        self.rejected = np.zeros(len(self.ids), dtype=bool)
+        self._index()
+        self.f = surface.reeb(y)
+        self.h_abs = self._initial_step(surface)
 
-    sol = solve_ivp(rhs, (0.0, T), states.reshape(-1), method="DOP853",
-                    rtol=tol, atol=tol, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"flow integration failed: {sol.message}")
+    def _index(self):
+        self.owner = np.repeat(np.arange(len(self.rows)), self.rows)
+        self.starts = np.cumsum(self.rows) - self.rows
+        self.size = self.rows * self.y.shape[1]   # elements per request
+        self.direction = np.where(self.T < 0, -1.0, 1.0)
 
-    def at(t):
-        y = sol.sol(t)
-        return y.reshape(shape) if y.ndim == 1 else y.T.reshape(-1, *shape)
+    def per_row(self, v):
+        return v[self.owner][:, None]
 
-    return at
+    def rows_of(self, j):
+        return slice(self.starts[j], self.starts[j] + self.rows[j])
+
+    def mean_sq(self, x):
+        """Mean square over each request's elements of x."""
+        return np.add.reduceat(np.sum(x * x, axis=-1), self.starts) / self.size
+
+    def scale(self, y):
+        tol = self.per_row(self.tol)
+        return tol + y * tol
+
+    def _initial_step(self, surface):
+        """scipy's select_initial_step (order 7, no max step), per request."""
+        y0, f0 = self.y, self.f
+        scale = self.scale(np.abs(y0))
+        d0 = np.sqrt(self.mean_sq(y0 / scale))
+        d1 = np.sqrt(self.mean_sq(f0 / scale))
+        small = (d0 < 1e-5) | (d1 < 1e-5)
+        h0 = np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1.0, d1))
+        h0 = np.minimum(h0, np.abs(self.T))
+        f1 = surface.reeb(y0 + self.per_row(h0 * self.direction) * f0)
+        d2 = np.sqrt(self.mean_sq((f1 - f0) / scale)) / h0
+        flat = (d1 <= 1e-15) & (d2 <= 1e-15)
+        h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.where(flat, 1.0, np.maximum(d1, d2)))
+                      ** (1.0 / 8.0))
+        return np.minimum(np.minimum(100 * h0, h1), np.abs(self.T))
+
+    def keep(self, live):
+        """Drop the finished requests and their rows."""
+        rows = live[self.owner]
+        for name in ("ids", "T", "tol", "rows", "t", "h_abs", "rejected"):
+            setattr(self, name, getattr(self, name)[live])
+        self.y, self.f = self.y[rows], self.f[rows]
+        self.plans = [p for p, ok in zip(self.plans, live) if ok]
+        self._index()
+
+
+class _OutputPlan:
+    """A request's output times, the order they fall due, and their array."""
+
+    def __init__(self, times, shape, T):
+        self.times = np.asarray(times, dtype=float)
+        self.shape = shape
+        self.out = np.empty((len(self.times),) + shape)
+        self.direction = -1.0 if T < 0 else 1.0
+        keys = self.direction * self.times
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+        self.done = 0
+
+    def due(self, t_new, finished):
+        """Range (in time order) of the times the step ending at t_new
+        serves: the first step also takes times before 0, the last one
+        those past T, as scipy's OdeSolution does."""
+        end = (len(self.order) if finished else int(np.searchsorted(
+            self.keys, self.direction * t_new, "right")))
+        return self.done, end
+
+
+def _dense_output(surface, batch, dense, y_new, K, h):
+    """Fill the output times that the accepted steps (from batch.t, batch.y)
+    of the requests in ``dense`` cover, from DOP853's interpolant (scipy's
+    Dop853DenseOutput).  Its three extra stages run on these rows only."""
+    sel = np.r_[tuple(batch.rows_of(j) for j, _, _ in dense)]
+    Kd = K[:, sel]
+    y_old = batch.y[sel]
+    hr = h[batch.owner[sel]][:, None]
+    for s in range(_N_STAGES + 1, len(_C)):
+        Kd[s] = surface.reeb(y_old + _combine(_A[s, :s], Kd) * hr)
+    delta = y_new[sel] - y_old
+    F = [delta, hr * Kd[0] - delta, 2 * delta - hr * (Kd[_N_STAGES] + Kd[0])]
+    F += [hr * _combine(_D[i], Kd) for i in range(len(_D))]
+    at = 0
+    for j, lo, hi in dense:
+        plan, r = batch.plans[j], slice(at, at + batch.rows[j])
+        at += batch.rows[j]
+        idx = plan.order[lo:hi]
+        x = ((plan.times[idx] - batch.t[j]) / h[j])[:, None, None]
+        out = np.zeros((len(idx),) + y_old[r].shape)
+        for i, f in enumerate(reversed(F)):
+            out += f[r]
+            out *= x if i % 2 == 0 else 1 - x
+        plan.out[idx] = (out + y_old[r]).reshape((len(idx),) + plan.shape)
+        plan.done = hi
+
+
+def flow(surface: StarshapedSurface, requests) -> List[np.ndarray]:
+    """Integrate xdot = R(x) for a batch of requests in lockstep.
+
+    Each request is ``(states, T, tol, times)``: on-surface states, shape
+    (d,) or (k, d), flowed for time T by DOP853 with rtol = atol = tol.
+    Returns one array per request: the states at T, shaped like ``states``,
+    when ``times`` is None, else the dense output at ``times`` with a leading
+    time axis.  Step-size control is per request: all states of a request
+    share its steps, and a lone request takes the steps that
+    ``solve_ivp(method="DOP853")`` takes.  Each RK stage is one
+    ``surface.reeb`` call on the live rows of every request.
+
+    Raises OffSurfaceError for a start state off the surface,
+    HypothesisError where <nu, x> <= 0, and RuntimeError when a step size
+    underflows.
+    """
+    states = [np.asarray(r[0], dtype=float) for r in requests]
+    stacked = [s.reshape(-1, s.shape[-1]) for s in states]
+    if not stacked:
+        return []
+    surface.require_on_surface(np.vstack(stacked))
+    plans = [None if r[3] is None else _OutputPlan(r[3], s.shape, r[1])
+             for r, s in zip(requests, states)]
+    results: List[Optional[np.ndarray]] = [None] * len(requests)
+    moving = []
+    for i, (s, plan) in enumerate(zip(states, plans)):
+        if requests[i][1] != 0.0:
+            moving.append(i)
+        elif plan is None:                   # T = 0 takes no step
+            results[i] = s.copy()
+        else:
+            plan.out[...] = s
+            results[i] = plan.out
+    if not moving:
+        return results
+
+    batch = _Batch(surface, moving, np.vstack([stacked[i] for i in moving]),
+                   [requests[i][1] for i in moving],
+                   [requests[i][2] for i in moving],
+                   [len(stacked[i]) for i in moving],
+                   [plans[i] for i in moving])
+    K = np.empty((len(_C),) + batch.y.shape)
+    while len(batch.ids):
+        t, y, direction = batch.t, batch.y, batch.direction
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        if np.any(batch.rejected & (batch.h_abs < min_step)):
+            raise RuntimeError("flow integration failed: Required step size "
+                               "is less than spacing between numbers.")
+        # a fresh step is at least min_step long; a retried one is not raised
+        h_abs = np.where(~batch.rejected & (batch.h_abs < min_step),
+                         min_step, batch.h_abs)
+        t_new = t + h_abs * direction
+        t_new = np.where(direction * (t_new - batch.T) > 0, batch.T, t_new)
+        h = t_new - t
+        h_abs = np.abs(h)
+
+        hr = batch.per_row(h)
+        K = K[:, :len(y)]
+        K[0] = batch.f
+        for s in range(1, _N_STAGES):
+            K[s] = surface.reeb(y + _combine(_A[s, :s], K) * hr)
+        y_new = y + hr * _combine(_B, K)
+        K[_N_STAGES] = surface.reeb(y_new)
+
+        scale = batch.scale(np.maximum(np.abs(y), np.abs(y_new)))
+        e5 = batch.mean_sq(_combine(_E5, K) / scale)
+        e3 = batch.mean_sq(_combine(_E3, K) / scale)
+        # scipy's |h| |e5|^2 / sqrt((|e5|^2 + |e3|^2 / 100) size), in means
+        denom = e5 + 0.01 * e3
+        zero = denom == 0.0
+        err = np.where(zero, 0.0,
+                       h_abs * e5 / np.sqrt(np.where(zero, 1.0, denom)))
+        accept = err < 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = _SAFETY * err ** _ERROR_EXPONENT
+        grow = np.where(err == 0.0, _MAX_FACTOR,
+                        np.where(ratio < _MAX_FACTOR, ratio, _MAX_FACTOR))
+        grow = np.where(batch.rejected, np.minimum(1.0, grow), grow)
+        # as Python's max(0.2, nan) = 0.2: a NaN error shrinks the step
+        shrink = np.where(ratio > _MIN_FACTOR, ratio, _MIN_FACTOR)
+        batch.h_abs = h_abs * np.where(accept, grow, shrink)
+        batch.rejected = ~accept
+        finished = accept & (direction * (t_new - batch.T) >= 0)
+
+        dense = []
+        for j in np.flatnonzero(accept):
+            plan = batch.plans[j]
+            if plan is not None:
+                lo, hi = plan.due(t_new[j], finished[j])
+                if hi > lo:
+                    dense.append((j, lo, hi))
+        if dense:
+            _dense_output(surface, batch, dense, y_new, K, h)
+
+        take = batch.per_row(accept)
+        batch.y = np.where(take, y_new, y)
+        batch.f = np.where(take, K[_N_STAGES], batch.f)
+        batch.t = np.where(accept, t_new, t)
+        if finished.any():
+            for j in np.flatnonzero(finished):
+                i, plan = batch.ids[j], batch.plans[j]
+                results[i] = (batch.y[batch.rows_of(j)].reshape(states[i].shape)
+                              if plan is None else plan.out)
+            batch.keep(~finished)
+    return results
 
 
 # ---------------------------------------------------------------------------
 # multistart search
 # ---------------------------------------------------------------------------
 
-def _coarse_candidate(surface, x0, lo, hi):
-    """Best trial period for a seed: scan the return distance on a grid."""
-    Ts = np.linspace(lo, hi, _TRIAL_PERIODS)
-    pts = flow(surface, x0, hi, tol=1e-10)(Ts)
-    dist = np.linalg.norm(pts - x0, axis=-1)
-    return float(Ts[np.argmin(dist)]), float(np.min(dist))
+def _local_minima(dist: np.ndarray) -> np.ndarray:
+    """Indices i with dist[i] <= each neighbour (an endpoint has one)."""
+    left = np.r_[True, dist[1:] <= dist[:-1]]
+    right = np.r_[dist[:-1] <= dist[1:], True]
+    return np.flatnonzero(left & right)
 
 
 def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
@@ -135,24 +352,22 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
     The damping interpolates between gradient descent (robust far from an
     orbit) and Gauss-Newton (quadratic near one); the time-shift direction is
     controlled through a phase-fix row tied to the current Reeb direction.
+    A generator: it yields flow requests and receives their results.
     """
     dim = surface.space.dim
     lo, hi = cfg.action_window
     T_lo, T_hi = 0.25 * lo, hi + 0.5 * (hi - lo) + 1.0
     eye = np.eye(dim)
 
-    def residual(y, T):
-        return flow(surface, y, T, tol)(T) - y
-
-    F = residual(y, T)
+    F = (yield (y, T, tol, None)) - y
     best = float(np.linalg.norm(F))
     lam = 1e-3
     for _ in range(iters):
         if best < target:
             break
-        # all FD states of this candidate ride in a single integration
+        # all FD states of this candidate share one request
         fd_states = [surface.project(y + fd * e) for e in eye]
-        out = flow(surface, np.vstack([y] + fd_states), T, tol)(T)
+        out = yield (np.vstack([y] + fd_states), T, tol, None)
         phi = out[0]
         R_here = surface.reeb(y)
         Jac = np.zeros((dim + 1, dim + 1))
@@ -175,7 +390,7 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
                 continue
             y_try = surface.project(y + step[:dim])
             T_try = float(np.clip(T + step[dim], T_lo, T_hi))
-            F_try = residual(y_try, T_try)
+            F_try = (yield (y_try, T_try, tol, None)) - y_try
             if np.linalg.norm(F_try) < best:
                 y, T = y_try, T_try
                 best = float(np.linalg.norm(F_try))
@@ -188,53 +403,84 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
     return y, T, best
 
 
-def _refine_candidate(surface, x0, T0, cfg):
-    """Two-stage refinement: cheap wide-basin descent, then a high-accuracy
-    polish that drives the closure residual to the integration floor."""
-    y, T, best = _lm_stage(surface, x0.copy(), T0, cfg, tol=1e-8, fd=1e-5,
-                           iters=3 * _LM_ITERS, target=1e-6)
+def _candidate(surface, x0, T0, cfg):
+    """One candidate's search as a generator of flow requests.
+
+    Two-stage refinement (a cheap wide-basin descent, then a high-accuracy
+    polish that drives the closure residual to the integration floor), then
+    sampling of a converged orbit inside the window.  Returns
+    (converged, orbit or None).
+    """
+    y, T, best = yield from _lm_stage(surface, x0.copy(), T0, cfg, tol=1e-8,
+                                      fd=1e-5, iters=3 * _LM_ITERS,
+                                      target=1e-6)
     if best < 1e-3:
-        y, T, best = _lm_stage(surface, y, T, cfg, tol=_FLOW_TOL, fd=1e-7,
-                               iters=_LM_ITERS,
-                               target=max(1e-12, 1e-3 * cfg.closure_tol))
-    return y, T, best
-
-
-def _sample_orbit(surface: StarshapedSurface, x: np.ndarray, T: float,
-                  residual: float) -> ReebOrbit:
+        y, T, best = yield from _lm_stage(
+            surface, y, T, cfg, tol=_FLOW_TOL, fd=1e-7, iters=_LM_ITERS,
+            target=max(1e-12, 1e-3 * cfg.closure_tol))
+    if best >= cfg.closure_tol:
+        return False, None
+    lo, hi = cfg.action_window
+    tol_pad = 10 * cfg.closure_tol
+    if not lo - tol_pad <= T <= hi + tol_pad:
+        return True, None
     ts = np.linspace(0.0, T, _ORBIT_SAMPLES)
-    pts = flow(surface, x, T)(ts)
-    pts = surface.project(pts)
+    pts = surface.project((yield (y, T, _FLOW_TOL, ts)))
     # action = int alpha(xdot) dt, re-evaluated by quadrature (= T for Reeb flow)
     R = surface.reeb(pts)
     av = surface.space.alpha(pts, R)
     action = float(np.trapezoid(av, ts))
-    return ReebOrbit(points=pts, period=float(T), action=action,
-                     closure_residual=float(residual), multiplicity=1)
+    return True, ReebOrbit(points=pts, period=float(T), action=action,
+                           closure_residual=float(best), multiplicity=1)
+
+
+def _lockstep(surface, candidates) -> list:
+    """Run candidate generators to completion, one flow batch per round
+    carrying the pending request of every live candidate."""
+    results = [None] * len(candidates)
+    pending = {}
+
+    def advance(i, value):
+        try:
+            pending[i] = candidates[i].send(value)
+        except StopIteration as stop:
+            pending.pop(i, None)
+            results[i] = stop.value
+
+    for i in range(len(candidates)):
+        advance(i, None)
+    while pending:
+        ids = list(pending)
+        for i, out in zip(ids, flow(surface, [pending[i] for i in ids])):
+            advance(i, out)
+    return results
 
 
 def find_closed_orbits(surface: StarshapedSurface,
                        cfg: SearchConfig) -> SearchResult:
     """Multistart closed-orbit search; deterministic given cfg.rng_seed.
 
-    Low-discrepancy seed points crossed with a uniform trial-period grid,
-    then damped Gauss-Newton with finite-difference flow sensitivities.
+    Low-discrepancy seed points crossed with a uniform trial-period grid;
+    every local minimum of a seed's return distance on the grid is refined
+    by damped Gauss-Newton with finite-difference flow sensitivities.  All
+    seeds' scans, and then all candidates, integrate in lockstep batches.
     """
     lo, hi = cfg.action_window
     dirs = sphere_directions(surface.space.dim, cfg.seeds, cfg.rng_seed)
     seeds = surface.point(dirs)
-    stats = SearchStats(seeds=cfg.seeds)
+    Ts = np.linspace(lo, hi, _TRIAL_PERIODS)
+    scans = flow(surface, [(x0, hi, 1e-10, Ts) for x0 in seeds])
+    owners, candidates = [], []
+    for k, (x0, pts) in enumerate(zip(seeds, scans)):
+        for i in _local_minima(np.linalg.norm(pts - x0, axis=-1)):
+            owners.append(k)
+            candidates.append(_candidate(surface, x0, float(Ts[i]), cfg))
+    results = _lockstep(surface, candidates)
 
-    orbits = []
-    tol_pad = 10 * cfg.closure_tol
-    for x0 in seeds:
-        T0, _ = _coarse_candidate(surface, x0, lo, hi)
-        y, T, res = _refine_candidate(surface, x0, T0, cfg)
-        if res < cfg.closure_tol:
-            stats.converged += 1
-            if lo - tol_pad <= T <= hi + tol_pad:
-                orbits.append(_sample_orbit(surface, y, T, res))
-    stats.accepted = len(orbits)
+    orbits = [orbit for _, orbit in results if orbit is not None]
+    stats = SearchStats(seeds=cfg.seeds, accepted=len(orbits),
+                        converged=len({k for k, (ok, _) in zip(owners, results)
+                                       if ok}))
     orbits.sort(key=lambda o: (o.action, tuple(o.points[0])))
     return SearchResult(orbits, stats)
 
@@ -244,24 +490,29 @@ def find_closed_orbits(surface: StarshapedSurface,
 # ---------------------------------------------------------------------------
 
 def _loop_distance(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Distances from points P to the closed polyline through Q."""
+    """Distances from points P to the closed polyline through Q.
+
+    Squared distances to every segment come from (n, m) matrix products;
+    the cancellation in them limits the result to about 1e-8 absolute.
+    """
     A = Q
-    B = np.roll(Q, -1, axis=0)
-    AB = B - A                                   # (m, d)
-    denom = np.sum(AB ** 2, axis=-1)
-    AP = P[:, None, :] - A[None, :, :]           # (n, m, d)
-    t = np.clip(np.einsum("nmd,md->nm", AP, AB) / np.maximum(denom, 1e-300),
-                0.0, 1.0)
-    proj = A[None, :, :] + t[..., None] * AB[None, :, :]
-    d = np.linalg.norm(P[:, None, :] - proj, axis=-1)
-    return d.min(axis=1)
+    AB = np.roll(Q, -1, axis=0) - A                       # (m, d)
+    denom = np.maximum(np.sum(AB ** 2, axis=-1), 1e-300)
+    A_AB = np.sum(A * AB, axis=-1)
+    t = np.clip((P @ AB.T - A_AB) / denom, 0.0, 1.0)      # (n, m)
+    # |P - A - t AB|^2 = |P - A|^2 - 2 t <P - A, AB> + t^2 |AB|^2
+    PA2 = (np.sum(P ** 2, axis=-1)[:, None] - 2.0 * (P @ A.T)
+           + np.sum(A ** 2, axis=-1))
+    d2 = PA2 - t * (2.0 * (P @ AB.T - A_AB) - t * denom)
+    return np.sqrt(np.maximum(d2.min(axis=1), 0.0))
 
 
-def _hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
-    """Symmetrized Hausdorff distance between two sampled loops, measured
-    point-to-polyline so that phase offsets of the sampling do not register."""
-    return max(float(_loop_distance(P, Q).max()),
-               float(_loop_distance(Q, P).max()))
+def _same_loop(P: np.ndarray, Q: np.ndarray, tol: float) -> bool:
+    """Symmetrized Hausdorff distance below tol, measured point-to-polyline
+    so that phase offsets of the sampling do not register; the second
+    one-sided distance is skipped when the first already fails."""
+    return (float(_loop_distance(P, Q).max()) < tol
+            and float(_loop_distance(Q, P).max()) < tol)
 
 
 def deduplicate(orbits: Sequence[ReebOrbit], tol: float) -> List[ReebOrbit]:
@@ -274,20 +525,23 @@ def deduplicate(orbits: Sequence[ReebOrbit], tol: float) -> List[ReebOrbit]:
     """
     remaining = sorted(orbits, key=lambda o: (o.period, tuple(o.points[0])))
     reps: List[ReebOrbit] = []
+    rep_points: List[np.ndarray] = []
     seen_mults: List[set] = []
     for orb in remaining:
         pts = orb.resample(_ORBIT_SAMPLES)
         placed = False
         for i, rep in enumerate(reps):
-            if _hausdorff(pts, rep.resample(_ORBIT_SAMPLES)) < tol:
-                k = orb.period / rep.period
-                k_int = round(k)
-                if 1 <= k_int <= 8 and abs(k - k_int) < 1e-3:
-                    seen_mults[i].add(k_int)
-                    placed = True
-                    break
+            k = orb.period / rep.period
+            k_int = round(k)
+            if not (1 <= k_int <= 8 and abs(k - k_int) < 1e-3):
+                continue
+            if _same_loop(pts, rep_points[i], tol):
+                seen_mults[i].add(k_int)
+                placed = True
+                break
         if not placed:
             reps.append(orb)
+            rep_points.append(pts)
             seen_mults.append({1})
     for rep, mults in zip(reps, seen_mults):
         rep.iterate_multiplicities = tuple(sorted(mults))

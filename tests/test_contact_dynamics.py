@@ -111,18 +111,18 @@ class TestReebField:
 class TestFlow:
     def test_sphere_period(self, sphere):
         x = np.array([0.6, 0.0, 0.8, 0.0])
-        end = flow(sphere, x, math.pi, tol=1e-12)(math.pi)
+        end = flow(sphere, [(x, math.pi, 1e-12, None)])[0]
         assert np.linalg.norm(end - x) < 1e-10
         assert sphere.radial_residual(end) < 1e-12
 
     def test_ellipsoid_coordinate_circle(self, ellipsoid):
         x = np.array([0.0, 0.0, 1.2, 0.0])
-        end = flow(ellipsoid, x, math.pi * 1.44, tol=1e-12)(math.pi * 1.44)
+        end = flow(ellipsoid, [(x, math.pi * 1.44, 1e-12, None)])[0]
         assert np.linalg.norm(end - x) < 1e-10
 
     def test_off_surface_start_refused(self, sphere):
         with pytest.raises(cd.OffSurfaceError):
-            flow(sphere, np.array([2.0, 0.0, 0.0, 0.0]), 1.0)
+            flow(sphere, [(np.array([2.0, 0.0, 0.0, 0.0]), 1.0, 1e-12, None)])
 
     def test_hypothesis_violation(self, space):
         # on the sphere about (3, 0, 0, 0) the point (2, 0, 0, 0) has
@@ -130,7 +130,65 @@ class TestFlow:
         S = cd.StarshapedSurface(space, np.array([3.0, 0, 0, 0]), "sphere",
                                  {"R": 1.0})
         with pytest.raises(cd.HypothesisError):
-            flow(S, np.array([2.0, 0.0, 0.0, 0.0]), 1.0)
+            flow(S, [(np.array([2.0, 0.0, 0.0, 0.0]), 1.0, 1e-12, None)])
+
+    def test_off_surface_request_fails_whole_batch(self, ellipsoid):
+        good = ellipsoid.point(cd.sphere_directions(4, 3, seed=2))
+        with pytest.raises(cd.OffSurfaceError):
+            flow(ellipsoid, [(good, 2.0, 1e-10, None),
+                             (1.01 * good[0], 2.0, 1e-10, None)])
+
+    def test_request_independent_of_batch(self, ellipsoid):
+        x = ellipsoid.point(cd.sphere_directions(4, 8, seed=3))
+        requests = [
+            (x[0], 3.0, 1e-8, None),
+            (x[1:4], 4.5, 1e-12, np.linspace(0.0, 4.5, 33)),
+            (x[4:], 2.0, 1e-10, None),
+            (x[7], 1.3, 1e-12, np.array([1.3, 0.2, 0.7])),
+        ]
+        batch = flow(ellipsoid, requests)
+        for req, together in zip(requests, batch):
+            alone = flow(ellipsoid, [req])[0]
+            assert alone.shape == together.shape
+            assert np.array_equal(alone, together)
+        # a request's result is also unchanged by its position
+        reordered = flow(ellipsoid, requests[::-1])[::-1]
+        assert all(np.array_equal(a, b) for a, b in zip(batch, reordered))
+
+    # at 1e-4 solve_ivp rejects one step, which exercises the retry path
+    @pytest.mark.parametrize("tol, T", [(1e-8, 3.0), (1e-12, 4.5),
+                                        (1e-10, 2.0), (1e-4, 4.5)])
+    def test_lone_request_matches_solve_ivp(self, ellipsoid, monkeypatch,
+                                            tol, T):
+        from scipy.integrate import solve_ivp
+        x = ellipsoid.point(cd.sphere_directions(4, 3, seed=5))
+
+        def rhs(t, y):
+            return ellipsoid.reeb(y.reshape(x.shape)).reshape(-1)
+
+        sol = solve_ivp(rhs, (0.0, T), x.reshape(-1), method="DOP853",
+                        rtol=tol, atol=tol, dense_output=True)
+        mid = 0.5 * (sol.t[1:] + sol.t[:-1])
+        calls = [0]
+        reeb = cd.StarshapedSurface.reeb
+
+        def counted(surface, pts):
+            calls[0] += 1
+            return reeb(surface, pts)
+
+        monkeypatch.setattr(cd.StarshapedSurface, "reeb", counted)
+        dense = flow(ellipsoid, [(x, T, tol, mid)])[0]
+        monkeypatch.undo()
+        # one output time inside each solve_ivp step: the same steps make
+        # both integrators evaluate the same stages, dense ones included
+        assert calls[0] == sol.nfev
+        assert np.max(np.abs(dense.reshape(len(mid), -1)
+                             - sol.sol(mid).T)) < 1e-12
+        end, at_steps = flow(ellipsoid, [(x, T, tol, None),
+                                         (x, T, tol, sol.t)])
+        assert np.max(np.abs(end.reshape(-1) - sol.y[:, -1])) < 1e-12
+        assert np.max(np.abs(at_steps.reshape(len(sol.t), -1)
+                             - sol.y.T)) < 1e-12
 
 
 class TestSampling:

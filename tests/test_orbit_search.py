@@ -32,6 +32,38 @@ def sphere_result(sphere):
     return osr.find_closed_orbits(sphere, cfg)
 
 
+def reference_loop_distance(P, Q):
+    """Point-to-polyline distances through (n, m, d) temporaries."""
+    A = Q
+    AB = np.roll(Q, -1, axis=0) - A
+    denom = np.sum(AB ** 2, axis=-1)
+    AP = P[:, None, :] - A[None, :, :]
+    t = np.clip(np.einsum("nmd,md->nm", AP, AB) / np.maximum(denom, 1e-300),
+                0.0, 1.0)
+    proj = A[None, :, :] + t[..., None] * AB[None, :, :]
+    return np.linalg.norm(P[:, None, :] - proj, axis=-1).min(axis=1)
+
+
+def reference_deduplicate(orbits, tol):
+    """Representatives and multiplicities, comparing every pair by the
+    symmetrized distance first and the period ratio second."""
+    reps, mults = [], []
+    for orb in sorted(orbits, key=lambda o: (o.period, tuple(o.points[0]))):
+        pts = orb.resample(256)
+        for i, rep in enumerate(reps):
+            Q = rep.resample(256)
+            if max(reference_loop_distance(pts, Q).max(),
+                   reference_loop_distance(Q, pts).max()) < tol:
+                k = orb.period / rep.period
+                if 1 <= round(k) <= 8 and abs(k - round(k)) < 1e-3:
+                    mults[i].add(round(k))
+                    break
+        else:
+            reps.append(orb)
+            mults.append({1})
+    return [(rep, tuple(sorted(m))) for rep, m in zip(reps, mults)]
+
+
 def circle_orbit(radius, plane, period, n=256):
     """Synthetic coordinate-circle orbit for dedupe tests."""
     t = np.linspace(0, 2 * np.pi * round(period / (np.pi * radius ** 2)), n)
@@ -85,6 +117,36 @@ class TestDeduplicate:
         assert [r.action for r in reps] == sorted(r.action for r in reps)
         assert all(r.iterate_multiplicities == (1,) for r in reps)
 
+    def test_loop_distance_matches_reference(self, sphere_result):
+        rng = np.random.default_rng(11)
+        pairs = [(rng.normal(size=(256, 4)), rng.normal(size=(200, 4)))]
+        loops = [o.points for o in sphere_result.orbits[:3]]
+        pairs += [(P, Q) for P in loops for Q in loops]
+        for P, Q in pairs:
+            assert np.max(np.abs(osr._loop_distance(P, Q)
+                                 - reference_loop_distance(P, Q))) < 1e-7
+
+    def test_same_representatives_as_reference(self, sphere_result):
+        cases = [
+            # same loop, but a period ratio of 1.5 is no iterate
+            [circle_orbit(1.0, 0, math.pi), circle_orbit(1.0, 0, 2 * math.pi),
+             circle_orbit(1.0, 0, 1.5 * math.pi)],
+            [circle_orbit(1.0, 0, math.pi),
+             circle_orbit(1.2, 1, 1.44 * math.pi),
+             circle_orbit(1.2, 1, 2.88 * math.pi),
+             circle_orbit(1.0, 0, 3 * math.pi)],
+            list(sphere_result.orbits),
+        ]
+        for orbits in cases:
+            expected = [(rep.points, mults) for rep, mults
+                        in reference_deduplicate(orbits, 1e-3)]
+            got = osr.deduplicate(orbits, tol=1e-3)
+            assert len(got) == len(expected)
+            for rep in got:
+                assert any(rep.points is pts
+                           and rep.iterate_multiplicities == mults
+                           for pts, mults in expected)
+
     def test_sphere_family_not_merged(self, sphere_result):
         # distinct great circles share the action but not the point set
         reps = osr.deduplicate(sphere_result.orbits, tol=1e-3)
@@ -104,6 +166,17 @@ class TestVerifyPinching:
         rep = osr.verify_pinching_theorem(fat, seeds=4)
         assert rep.passed is None
         assert rep.orbits == []
+
+    @pytest.mark.parametrize("rng_seed", [1700249776, 1017777274, 657705806])
+    def test_every_coarse_minimum_refined(self, rng_seed):
+        # refining only each seed's best trial period misses the 1.69 pi
+        # circle with these 12 seeds
+        surface = cd.StarshapedSurface(cd.AmbientSpace(3), np.zeros(6),
+                                       "ellipsoid", {"radii": [1.0, 1.1, 1.3]})
+        rep = osr.verify_pinching_theorem(surface, seeds=12, rng_seed=rng_seed)
+        assert rep.distinct_count == 3
+        assert [o.action for o in rep.orbits] == pytest.approx(
+            [math.pi, 1.21 * math.pi, 1.69 * math.pi], rel=1e-6)
 
     def test_ellipsoid_small_budget(self, ellipsoid):
         rep = osr.verify_pinching_theorem(ellipsoid, seeds=24)
