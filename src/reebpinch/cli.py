@@ -106,44 +106,41 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_outputs(out_dir: str, tag: str, cfg: dict, report: dict,
-                   csvs: dict, t_start: float) -> str:
-    """Write report, plot CSVs, and the manifest; returns the config hash."""
+def _finish(args, cfg: dict, report: dict, csvs: dict, t_start: float,
+            text: str) -> str:
+    """Write report, plot CSVs and the manifest, then print the report JSON
+    (--json) or the one-line summary text; returns the config hash."""
+    tag = args.command
     h = config_hash({"command": tag, **cfg})
-    os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, f"{h}_{tag}.json"),
+    os.makedirs(args.out, exist_ok=True)
+    _atomic_write(os.path.join(args.out, f"{h}_{tag}.json"),
                   _dumps17(report) + "\n")
-    for name, text in csvs.items():
-        _atomic_write(os.path.join(out_dir, f"{h}_{name}.csv"), text)
+    for name, csv in csvs.items():
+        _atomic_write(os.path.join(args.out, f"{h}_{name}.csv"), csv)
     manifest = {"tool": "reebpinch", "version": __version__,
                 "config_hash": h, "command": tag,
                 "wall_time_s": time.monotonic() - t_start}
-    _atomic_write(os.path.join(out_dir, f"{h}_manifest.json"),
+    _atomic_write(os.path.join(args.out, f"{h}_manifest.json"),
                   _dumps17(manifest) + "\n")
+    print(_dumps17(report) if args.json else text)
     return h
+
+
+def _exit_code(passed) -> int:
+    """None = not applicable, else pass or verification failure."""
+    if passed is None:
+        return EXIT_NOT_APPLICABLE
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
 # argument handling
 # ---------------------------------------------------------------------------
 
-def _add_core(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--R0", type=float)
-    p.add_argument("--A", type=float)
-    p.add_argument("--c", type=float)
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--json", action="store_true",
-                   help="print the report JSON to stdout")
-
-
-def _load_config(args: argparse.Namespace, keys) -> dict:
-    """Merge config file values with flags (flags win)."""
+def _load_config(args: argparse.Namespace) -> dict:
+    """Merge config file values with the command's flags (flags win)."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 text = fh.read()
@@ -156,11 +153,22 @@ def _load_config(args: argparse.Namespace, keys) -> dict:
                 f"column {exc.colno}: {exc.msg}")
         if not isinstance(cfg, dict):
             raise SystemExit("config file must hold a JSON object")
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"), None)
+    for flag, _ in COMMANDS[args.command][1]:
+        key = flag[2:]       # "rng-seed" stays hyphenated: it feeds the hash
+        val = getattr(args, key.replace("-", "_"))
         if val is not None:
             cfg[key] = val
     return cfg
+
+
+def _require(cfg: dict, key: str, tag: str) -> None:
+    if key not in cfg:
+        raise SystemExit(f"{tag} requires --{key}")
+
+
+def _core(cfg: dict) -> CoreParams:
+    return CoreParams(float(cfg.get("R0", 1.5)), float(cfg.get("A", 0.5)),
+                      float(cfg.get("c", 0.8)))
 
 
 def _parse_radii(text: str):
@@ -186,17 +194,15 @@ def _load_surface(path: str) -> StarshapedSurface:
             return surface_from_json(fh.read())
     except OSError as exc:
         raise SystemExit(f"cannot read surface: {exc}")
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SystemExit(f"malformed surface file {path}: {exc}")
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes (args, merged config, start time), returns exit code
 # ---------------------------------------------------------------------------
 
-def cmd_profile_check(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load_config(args, ["R0", "A", "c"])
+def cmd_profile_check(args, cfg, t0) -> int:
     try:
         core = CoreParams(float(cfg["R0"]), float(cfg["A"]), float(cfg["c"]))
     except KeyError as exc:
@@ -216,22 +222,15 @@ def cmd_profile_check(args) -> int:
                         for n, s in rep.constraints],
         "first_failure": first_failure,
     }
-    _write_outputs(args.out, "profile-check", cfg, report, {}, t0)
-    if args.json:
-        print(_dumps17(report))
-    elif not rep.passed:
-        print(f"constraint failed: {first_failure}")
-    else:
-        print(f"parameters admissible: B = {rep.B:.9f}, "
-              f"c(B-A) = {rep.window_width:.9f}")
-    return EXIT_PASS if rep.passed else EXIT_FAIL
+    _finish(args, cfg, report, {}, t0,
+            f"parameters admissible: B = {rep.B:.9f}, "
+            f"c(B-A) = {rep.window_width:.9f}" if rep.passed
+            else f"constraint failed: {first_failure}")
+    return _exit_code(rep.passed)
 
 
-def cmd_profile_build(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load_config(args, ["R0", "A", "c"])
-    core = CoreParams(float(cfg.get("R0", 1.5)), float(cfg.get("A", 0.5)),
-                      float(cfg.get("c", 0.8)))
+def cmd_profile_build(args, cfg, t0) -> int:
+    core = _core(cfg)
     profile = build_profile(core)
     checks = verify_profile(profile)
     grid = np.geomspace(profile.shape.delta_bar / 2, profile.shape.r_flat, 2000)
@@ -247,29 +246,18 @@ def cmd_profile_build(args) -> int:
                     for b in checks.bullets],
         "all_ok": checks.passed,
     }
-    h = _write_outputs(args.out, "profile-build", cfg, report,
-                       {"profile": "\n".join(lines) + "\n"}, t0)
+    h = _finish(args, cfg, report, {"profile": "\n".join(lines) + "\n"}, t0,
+                f"profile {'certified' if checks.passed else 'FAILED'}; "
+                f"{len(checks.bullets)} checks")
     _atomic_write(os.path.join(args.out, f"{h}_profile.json"),
                   profile_to_json(profile))
-    if args.json:
-        print(_dumps17(report))
-    else:
-        print(f"profile {'certified' if report['all_ok'] else 'FAILED'}; "
-              f"{len(checks.bullets)} checks")
-    return EXIT_PASS if report["all_ok"] else EXIT_FAIL
+    return _exit_code(checks.passed)
 
 
-def _base_homotopy(cfg):
-    core = CoreParams(float(cfg.get("R0", 1.5)), float(cfg.get("A", 0.5)),
-                      float(cfg.get("c", 0.8)))
-    return core, MonotoneHomotopy(build_profile(core))
-
-
-def cmd_ode_connect(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load_config(args, ["R0", "A", "c", "tol"])
+def cmd_ode_connect(args, cfg, t0) -> int:
     tol = float(cfg.get("tol", 1e-10))
-    core, H = _base_homotopy(cfg)
+    core = _core(cfg)
+    H = MonotoneHomotopy(build_profile(core))
     traj = integrate_connecting(H, tol=tol)
     barrier = barrier_curve(H, 1001)
     gap_margin = verify_gap(traj, barrier)
@@ -287,20 +275,16 @@ def cmd_ode_connect(args) -> int:
         "steps": len(traj.s_grid),
         "ok": ok,
     }
-    _write_outputs(args.out, "ode-connect", cfg, report,
-                   {"trajectory": trajectory_to_csv(traj, barrier)}, t0)
-    if args.json:
-        print(_dumps17(report))
-    else:
-        print(f"F(end) = {f_end:.12f} (target {target:.12f}), "
-              f"gap margin {gap_margin:.3e}")
-    return EXIT_PASS if ok else EXIT_FAIL
+    _finish(args, cfg, report,
+            {"trajectory": trajectory_to_csv(traj, barrier)}, t0,
+            f"F(end) = {f_end:.12f} (target {target:.12f}), "
+            f"gap margin {gap_margin:.3e}")
+    return _exit_code(ok)
 
 
-def cmd_ode_probe(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load_config(args, ["R0", "A", "c"])
-    core, H = _base_homotopy(cfg)
+def cmd_ode_probe(args, cfg, t0) -> int:
+    core = _core(cfg)
+    H = MonotoneHomotopy(build_profile(core))
     probes = [uniqueness_probe(H, -2.0, core.A + d, -10.0)
               for d in (1e-3, -1e-3)]
     traj = integrate_connecting(H, tol=1e-10)
@@ -322,13 +306,9 @@ def cmd_ode_probe(args) -> int:
              "determinant": m.determinant} for m in minors[:5]],
         "ok": ok,
     }
-    _write_outputs(args.out, "ode-probe", cfg, report, {}, t0)
-    if args.json:
-        print(_dumps17(report))
-    else:
-        print(f"zeta2 = {zeta2}, probe ratios "
-              + ", ".join(f"{p.ratio:.1f}" for p in probes))
-    return EXIT_PASS if ok else EXIT_FAIL
+    _finish(args, cfg, report, {}, t0, f"zeta2 = {zeta2}, probe ratios "
+            + ", ".join(f"{p.ratio:.1f}" for p in probes))
+    return _exit_code(ok)
 
 
 def _spectrum_report_doc(rep, cfg_used, surface_desc):
@@ -359,11 +339,13 @@ def _spectrum_csv(rep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_surface_orbits(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load_config(args, ["surface", "window", "seeds", "tol", "rng-seed"])
-    if "surface" not in cfg:
-        raise SystemExit("surface-orbits requires --surface")
+def _pinching(surface, cfg):
+    return verify_pinching_theorem(surface, seeds=int(cfg.get("seeds", 64)),
+                                   rng_seed=int(cfg.get("rng-seed", 20260823)))
+
+
+def cmd_surface_orbits(args, cfg, t0) -> int:
+    _require(cfg, "surface", "surface-orbits")
     surface = _load_surface(cfg["surface"])
     window = (_parse_window(cfg["window"]) if isinstance(cfg.get("window"), str)
               else tuple(cfg.get("window", (0.5 * math.pi, 2.5 * math.pi))))
@@ -380,50 +362,30 @@ def cmd_surface_orbits(args) -> int:
                    "accepted": result.stats.accepted},
         "units": "ambient (sphere orbit action pi R^2)",
     }
-    _write_outputs(args.out, "surface-orbits", cfg, report,
-                   {"spectrum": _spectrum_csv(result)}, t0)
-    if args.json:
-        print(_dumps17(report))
-    else:
-        print(f"{len(result.orbits)} orbit(s) accepted from "
-              f"{result.stats.seeds} seeds")
+    _finish(args, cfg, report, {"spectrum": _spectrum_csv(result)}, t0,
+            f"{len(result.orbits)} orbit(s) accepted from "
+            f"{result.stats.seeds} seeds")
     return EXIT_PASS
 
 
-def cmd_verify_pinch(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load_config(args, ["surface", "seeds", "rng-seed"])
-    if "surface" not in cfg:
-        raise SystemExit("verify-pinch requires --surface")
-    surface = _load_surface(cfg["surface"])
-    rep = verify_pinching_theorem(surface, seeds=int(cfg.get("seeds", 64)),
-                                  rng_seed=int(cfg.get("rng-seed", 20260823)))
-    report = _spectrum_report_doc(rep, cfg, cfg["surface"])
-    _write_outputs(args.out, "verify-pinch", cfg, report,
-                   {"spectrum": _spectrum_csv(rep)}, t0)
-    if args.json:
-        print(_dumps17(report))
-    else:
-        verdict = {None: "not applicable", True: "pass", False: "FAIL"}
-        print(f"pinching verification: {verdict[rep.passed]} "
-              f"({rep.distinct_count} distinct, need {rep.cuplength_bound})")
-    if rep.passed is None:
-        return EXIT_NOT_APPLICABLE
-    return EXIT_PASS if rep.passed else EXIT_FAIL
+def cmd_verify_pinch(args, cfg, t0) -> int:
+    _require(cfg, "surface", "verify-pinch")
+    rep = _pinching(_load_surface(cfg["surface"]), cfg)
+    verdict = {None: "not applicable", True: "pass", False: "FAIL"}
+    _finish(args, cfg, _spectrum_report_doc(rep, cfg, cfg["surface"]),
+            {"spectrum": _spectrum_csv(rep)}, t0,
+            f"pinching verification: {verdict[rep.passed]} "
+            f"({rep.distinct_count} distinct, need {rep.cuplength_bound})")
+    return _exit_code(rep.passed)
 
 
-def cmd_verify_ellipsoid(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load_config(args, ["radii", "seeds", "rng-seed"])
-    if "radii" not in cfg:
-        raise SystemExit("verify-ellipsoid requires --radii")
+def cmd_verify_ellipsoid(args, cfg, t0) -> int:
+    _require(cfg, "radii", "verify-ellipsoid")
     radii = (_parse_radii(cfg["radii"]) if isinstance(cfg["radii"], str)
              else [float(v) for v in cfg["radii"]])
     space = AmbientSpace(len(radii))
-    surface = StarshapedSurface(space, np.zeros(space.dim), "ellipsoid",
-                                {"radii": radii})
-    rep = verify_pinching_theorem(surface, seeds=int(cfg.get("seeds", 64)),
-                                  rng_seed=int(cfg.get("rng-seed", 20260823)))
+    rep = _pinching(StarshapedSurface(space, np.zeros(space.dim), "ellipsoid",
+                                      {"radii": radii}), cfg)
     oracle_entries, _ = ellipsoid_oracle(
         radii, math.pi * max(radii) ** 2 + 1e-9)
     oracle_simple = sorted({e.action for e in oracle_entries if e.iterate == 1})
@@ -436,22 +398,13 @@ def cmd_verify_ellipsoid(args) -> int:
     report = _spectrum_report_doc(rep, cfg, f"ellipsoid({radii})")
     report["oracle_actions"] = oracle_simple
     report["oracle_matched"] = matched
-    _write_outputs(args.out, "verify-ellipsoid", cfg, report,
-                   {"spectrum": _spectrum_csv(rep)}, t0)
-    if args.json:
-        print(_dumps17(report))
-    else:
-        print(f"ellipsoid spectrum matched oracle: {matched}")
-    if rep.passed is None:
-        return EXIT_NOT_APPLICABLE
-    return EXIT_PASS if (rep.passed and matched) else EXIT_FAIL
+    _finish(args, cfg, report, {"spectrum": _spectrum_csv(rep)}, t0,
+            f"ellipsoid spectrum matched oracle: {matched}")
+    return _exit_code(rep.passed and matched)
 
 
-def cmd_report(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load_config(args, ["input"])
-    if "input" not in cfg:
-        raise SystemExit("report requires --input")
+def cmd_report(args, cfg, t0) -> int:
+    _require(cfg, "input", "report")
     try:
         with open(cfg["input"]) as fh:
             doc = json.load(fh)
@@ -472,19 +425,40 @@ def cmd_report(args) -> int:
                 lo - 1e-8 <= a <= hi + 1e-8 for a in actions)
     if "pass" in doc:
         summary["pass"] = doc["pass"]
-    _write_outputs(args.out, "report", cfg, summary, {}, t0)
-    if args.json:
-        print(_dumps17(summary))
-    else:
-        print(f"summary of {cfg['input']}: "
-              + ", ".join(f"{k}={v}" for k, v in summary.items()
-                          if k not in ("command", "source", "actions")))
+    _finish(args, cfg, summary, {}, t0, f"summary of {cfg['input']}: "
+            + ", ".join(f"{k}={v}" for k, v in summary.items()
+                        if k not in ("command", "source", "actions")))
     return EXIT_PASS
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+_CORE_FLAGS = (("--R0", float), ("--A", float), ("--c", float))
+
+# name -> (help, ((flag, type), ...), handler); every command also takes
+# --config, --out and --json, and its flags are its config keys
+COMMANDS = {
+    "profile-check": ("validate (R0, A, c)", _CORE_FLAGS, cmd_profile_check),
+    "profile-build": ("build and certify a profile", _CORE_FLAGS,
+                      cmd_profile_build),
+    "ode-connect": ("integrate the connecting ODE",
+                    _CORE_FLAGS + (("--tol", float),), cmd_ode_connect),
+    "ode-probe": ("uniqueness and decay probes", _CORE_FLAGS, cmd_ode_probe),
+    "surface-orbits": ("closed-orbit search",
+                       (("--surface", None), ("--window", None),
+                        ("--seeds", int), ("--tol", float),
+                        ("--rng-seed", int)), cmd_surface_orbits),
+    "verify-pinch": ("pinching-theorem verification",
+                     (("--surface", None), ("--seeds", int),
+                      ("--rng-seed", int)), cmd_verify_pinch),
+    "verify-ellipsoid": ("verify the spectrum of an ellipsoid",
+                         (("--radii", None), ("--seeds", int),
+                          ("--rng-seed", int)), cmd_verify_ellipsoid),
+    "report": ("re-ingest a report JSON", (("--input", None),), cmd_report),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -495,56 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
                "'s,F,G,rho,margin'; spectrum 'action,period,multiplicity'. "
                "File names are derived from the config hash.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("profile-check", help="validate (R0, A, c)")
-    _add_core(p)
-    _add_common(p)
-    p.set_defaults(fn=cmd_profile_check)
-
-    p = sub.add_parser("profile-build", help="build and certify a profile")
-    _add_core(p)
-    _add_common(p)
-    p.set_defaults(fn=cmd_profile_build)
-
-    p = sub.add_parser("ode-connect", help="integrate the connecting ODE")
-    _add_core(p)
-    p.add_argument("--tol", type=float)
-    _add_common(p)
-    p.set_defaults(fn=cmd_ode_connect)
-
-    p = sub.add_parser("ode-probe", help="uniqueness and decay probes")
-    _add_core(p)
-    _add_common(p)
-    p.set_defaults(fn=cmd_ode_probe)
-
-    p = sub.add_parser("surface-orbits", help="closed-orbit search")
-    p.add_argument("--surface")
-    p.add_argument("--window")
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--rng-seed", type=int)
-    _add_common(p)
-    p.set_defaults(fn=cmd_surface_orbits)
-
-    p = sub.add_parser("verify-pinch", help="pinching-theorem verification")
-    p.add_argument("--surface")
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--rng-seed", type=int)
-    _add_common(p)
-    p.set_defaults(fn=cmd_verify_pinch)
-
-    p = sub.add_parser("verify-ellipsoid",
-                       help="verify the spectrum of an ellipsoid")
-    p.add_argument("--radii")
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--rng-seed", type=int)
-    _add_common(p)
-    p.set_defaults(fn=cmd_verify_ellipsoid)
-
-    p = sub.add_parser("report", help="re-ingest a report JSON")
-    p.add_argument("--input")
-    _add_common(p)
-    p.set_defaults(fn=cmd_report)
+    for name, (text, flags, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, kind in flags:
+            p.add_argument(flag, type=kind)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--json", action="store_true",
+                       help="print the report JSON to stdout")
     return parser
 
 
@@ -555,8 +487,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; remap to the contract
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    t0 = time.monotonic()
     try:
-        return args.fn(args)
+        return COMMANDS[args.command][2](args, _load_config(args), t0)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

@@ -140,13 +140,23 @@ class SeriesTerm:
         return self.coef * g
 
 
+def _require_positive(name: str, value, shape: tuple) -> None:
+    v = np.asarray(value, dtype=float)
+    if v.shape != shape or not np.all(np.isfinite(v) & (v > 0)):
+        raise ValueError(f"{name} must be finite and > 0 with shape {shape}, "
+                         f"got {v.tolist()}")
+
+
 @dataclass(frozen=True)
 class StarshapedSurface:
     """Hypersurface { x0 + rho(u) u : |u| = 1 } starshaped about x0.
 
-    kind is one of "sphere" (params: R), "ellipsoid" (params: radii, one per
-    complex coordinate), or "radial_series" (params: R and a list of
-    SeriesTerm perturbations rho = R (1 + sum terms)).
+    kind is one of "ellipsoid" (params: radii, one per complex coordinate),
+    "radial_series" (params: R and a list of SeriesTerm perturbations,
+    rho = R (1 + sum terms)) or "sphere" (params: R; the series with no
+    terms).  Construction raises ValueError for a radius or R that is not
+    finite and positive, a center that is not 2n finite numbers, a term
+    index outside 0..2n-1 or a non-finite coefficient.
     """
 
     space: AmbientSpace
@@ -158,36 +168,49 @@ class StarshapedSurface:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         if self.kind not in ("sphere", "ellipsoid", "radial_series"):
             raise ValueError(f"unknown surface kind {self.kind!r}")
+        dim = self.space.dim
+        if dim < 2:
+            raise ValueError(f"n must be at least 1, got {self.space.n}")
+        if self.center.shape != (dim,) or not np.all(np.isfinite(self.center)):
+            raise ValueError(f"center must be {dim} finite numbers, "
+                             f"got {self.center.tolist()}")
         if self.kind == "ellipsoid":
             radii = np.asarray(self.params["radii"], dtype=float)
-            if radii.size != self.space.n:
-                raise ValueError("ellipsoid needs one radius per complex coordinate")
+            _require_positive("radii", radii, (self.space.n,))
             # per-real-coordinate semi-axes (each complex radius twice)
             object.__setattr__(self, "_axes", np.repeat(radii, 2))
+            return
+        _require_positive("R", self.params["R"], ())
+        terms = self.params["terms"] if self.kind == "radial_series" else ()
+        for k, term in enumerate(terms):
+            if not all(isinstance(i, (int, np.integer)) and 0 <= i < dim
+                       for i in term.indices):
+                raise ValueError(f"terms[{k}] index outside 0..{dim - 1}: "
+                                 f"{list(term.indices)}")
+            if not math.isfinite(term.coef):
+                raise ValueError(f"terms[{k}] coef must be finite, "
+                                 f"got {term.coef}")
+        object.__setattr__(self, "_terms", tuple(terms))
 
     def rho(self, u: np.ndarray) -> np.ndarray:
         """Radial function on unit directions (vectorized over leading axes)."""
         u = np.asarray(u, dtype=float)
-        if self.kind == "sphere":
-            return np.broadcast_to(float(self.params["R"]), u.shape[:-1]).copy()
         if self.kind == "ellipsoid":
             q = np.sum((u / self._axes) ** 2, axis=-1)
             return q ** -0.5
         val = np.ones(u.shape[:-1])
-        for term in self.params["terms"]:
+        for term in self._terms:
             val = val + term.value(u)
         return float(self.params["R"]) * val
 
     def rho_grad(self, u: np.ndarray) -> np.ndarray:
         """Ambient gradient of the defining formula of rho at unit directions."""
         u = np.asarray(u, dtype=float)
-        if self.kind == "sphere":
-            return np.zeros_like(u)
         if self.kind == "ellipsoid":
             q = np.sum((u / self._axes) ** 2, axis=-1)
             return -(q[..., None] ** -1.5) * (u / self._axes ** 2)
         g = np.zeros_like(u)
-        for term in self.params["terms"]:
+        for term in self._terms:
             g = g + term.grad(u)
         return float(self.params["R"]) * g
 

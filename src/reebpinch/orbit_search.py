@@ -19,6 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.integrate._ivp import dop853_coefficients
 
+from .connecting_ode import IntegrationError
 from .contact_dynamics import (
     ReebOrbit,
     StarshapedSurface,
@@ -61,6 +62,8 @@ class SearchConfig:
         lo, hi = self.action_window
         if not lo < hi:
             raise ValueError("action window must satisfy lo < hi")
+        if not lo > 0:
+            raise ValueError("action window must satisfy lo > 0")
         if self.closure_tol <= 0 or self.dedupe_tol <= 0:
             raise ValueError("tolerances must be positive")
 
@@ -136,7 +139,6 @@ class _Batch:
         self.owner = np.repeat(np.arange(len(self.rows)), self.rows)
         self.starts = np.cumsum(self.rows) - self.rows
         self.size = self.rows * self.y.shape[1]   # elements per request
-        self.direction = np.where(self.T < 0, -1.0, 1.0)
 
     def per_row(self, v):
         return v[self.owner][:, None]
@@ -160,14 +162,14 @@ class _Batch:
         d1 = np.sqrt(self.mean_sq(f0 / scale))
         small = (d0 < 1e-5) | (d1 < 1e-5)
         h0 = np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1.0, d1))
-        h0 = np.minimum(h0, np.abs(self.T))
-        f1 = surface.reeb(y0 + self.per_row(h0 * self.direction) * f0)
+        h0 = np.minimum(h0, self.T)
+        f1 = surface.reeb(y0 + self.per_row(h0) * f0)
         d2 = np.sqrt(self.mean_sq((f1 - f0) / scale)) / h0
         flat = (d1 <= 1e-15) & (d2 <= 1e-15)
         h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / np.where(flat, 1.0, np.maximum(d1, d2)))
                       ** (1.0 / 8.0))
-        return np.minimum(np.minimum(100 * h0, h1), np.abs(self.T))
+        return np.minimum(np.minimum(100 * h0, h1), self.T)
 
     def keep(self, live):
         """Drop the finished requests and their rows."""
@@ -182,14 +184,12 @@ class _Batch:
 class _OutputPlan:
     """A request's output times, the order they fall due, and their array."""
 
-    def __init__(self, times, shape, T):
+    def __init__(self, times, shape):
         self.times = np.asarray(times, dtype=float)
         self.shape = shape
         self.out = np.empty((len(self.times),) + shape)
-        self.direction = -1.0 if T < 0 else 1.0
-        keys = self.direction * self.times
-        self.order = np.argsort(keys, kind="stable")
-        self.keys = keys[self.order]
+        self.order = np.argsort(self.times, kind="stable")
+        self.keys = self.times[self.order]
         self.done = 0
 
     def due(self, t_new, finished):
@@ -197,7 +197,7 @@ class _OutputPlan:
         serves: the first step also takes times before 0, the last one
         those past T, as scipy's OdeSolution does."""
         end = (len(self.order) if finished else int(np.searchsorted(
-            self.keys, self.direction * t_new, "right")))
+            self.keys, t_new, "right")))
         return self.done, end
 
 
@@ -232,7 +232,8 @@ def flow(surface: StarshapedSurface, requests) -> List[np.ndarray]:
     """Integrate xdot = R(x) for a batch of requests in lockstep.
 
     Each request is ``(states, T, tol, times)``: on-surface states, shape
-    (d,) or (k, d), flowed for time T by DOP853 with rtol = atol = tol.
+    (d,) or (k, d), flowed forward for time T > 0 by DOP853 with
+    rtol = atol = tol.
     Returns one array per request: the states at T, shaped like ``states``,
     when ``times`` is None, else the dense output at ``times`` with a leading
     time axis.  Step-size control is per request: all states of a request
@@ -240,49 +241,37 @@ def flow(surface: StarshapedSurface, requests) -> List[np.ndarray]:
     ``solve_ivp(method="DOP853")`` takes.  Each RK stage is one
     ``surface.reeb`` call on the live rows of every request.
 
-    Raises OffSurfaceError for a start state off the surface,
-    HypothesisError where <nu, x> <= 0, and RuntimeError when a step size
-    underflows.
+    Raises ValueError unless every T > 0, OffSurfaceError for a start
+    state off the surface, HypothesisError where <nu, x> <= 0, and
+    IntegrationError when a step size underflows or is NaN.
     """
     states = [np.asarray(r[0], dtype=float) for r in requests]
     stacked = [s.reshape(-1, s.shape[-1]) for s in states]
     if not stacked:
         return []
+    if not all(r[1] > 0 for r in requests):
+        raise ValueError("flow needs T > 0 for every request")
     surface.require_on_surface(np.vstack(stacked))
-    plans = [None if r[3] is None else _OutputPlan(r[3], s.shape, r[1])
+    plans = [None if r[3] is None else _OutputPlan(r[3], s.shape)
              for r, s in zip(requests, states)]
     results: List[Optional[np.ndarray]] = [None] * len(requests)
-    moving = []
-    for i, (s, plan) in enumerate(zip(states, plans)):
-        if requests[i][1] != 0.0:
-            moving.append(i)
-        elif plan is None:                   # T = 0 takes no step
-            results[i] = s.copy()
-        else:
-            plan.out[...] = s
-            results[i] = plan.out
-    if not moving:
-        return results
-
-    batch = _Batch(surface, moving, np.vstack([stacked[i] for i in moving]),
-                   [requests[i][1] for i in moving],
-                   [requests[i][2] for i in moving],
-                   [len(stacked[i]) for i in moving],
-                   [plans[i] for i in moving])
+    batch = _Batch(surface, range(len(requests)), np.vstack(stacked),
+                   [r[1] for r in requests], [r[2] for r in requests],
+                   [len(s) for s in stacked], plans)
     K = np.empty((len(_C),) + batch.y.shape)
     while len(batch.ids):
-        t, y, direction = batch.t, batch.y, batch.direction
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
-        if np.any(batch.rejected & (batch.h_abs < min_step)):
-            raise RuntimeError("flow integration failed: Required step size "
-                               "is less than spacing between numbers.")
+        t, y = batch.t, batch.y
+        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        # written so that a NaN step size also stops the loop
+        if np.any(batch.rejected & ~(batch.h_abs >= min_step)):
+            raise IntegrationError("flow integration failed: Required step "
+                                   "size is less than spacing between "
+                                   "numbers.")
         # a fresh step is at least min_step long; a retried one is not raised
         h_abs = np.where(~batch.rejected & (batch.h_abs < min_step),
                          min_step, batch.h_abs)
-        t_new = t + h_abs * direction
-        t_new = np.where(direction * (t_new - batch.T) > 0, batch.T, t_new)
+        t_new = np.minimum(t + h_abs, batch.T)
         h = t_new - t
-        h_abs = np.abs(h)
 
         hr = batch.per_row(h)
         K = K[:, :len(y)]
@@ -298,8 +287,7 @@ def flow(surface: StarshapedSurface, requests) -> List[np.ndarray]:
         # scipy's |h| |e5|^2 / sqrt((|e5|^2 + |e3|^2 / 100) size), in means
         denom = e5 + 0.01 * e3
         zero = denom == 0.0
-        err = np.where(zero, 0.0,
-                       h_abs * e5 / np.sqrt(np.where(zero, 1.0, denom)))
+        err = np.where(zero, 0.0, h * e5 / np.sqrt(np.where(zero, 1.0, denom)))
         accept = err < 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = _SAFETY * err ** _ERROR_EXPONENT
@@ -308,9 +296,9 @@ def flow(surface: StarshapedSurface, requests) -> List[np.ndarray]:
         grow = np.where(batch.rejected, np.minimum(1.0, grow), grow)
         # as Python's max(0.2, nan) = 0.2: a NaN error shrinks the step
         shrink = np.where(ratio > _MIN_FACTOR, ratio, _MIN_FACTOR)
-        batch.h_abs = h_abs * np.where(accept, grow, shrink)
+        batch.h_abs = h * np.where(accept, grow, shrink)
         batch.rejected = ~accept
-        finished = accept & (direction * (t_new - batch.T) >= 0)
+        finished = accept & (t_new >= batch.T)
 
         dense = []
         for j in np.flatnonzero(accept):

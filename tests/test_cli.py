@@ -4,6 +4,8 @@ handling, report files, and deterministic serialization."""
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +220,67 @@ class TestSurfaceCommands:
         assert doc["oracle_matched"] is True
         assert doc["oracle_actions"] == pytest.approx(
             [math.pi, 1.44 * math.pi])
+
+
+class TestInvalidInput:
+    """Invalid surface files and windows exit 1 with a message that names
+    the offending field."""
+
+    @staticmethod
+    def surface_file(tmp_path, kind, params, center=(0.0, 0.0, 0.0, 0.0)):
+        path = tmp_path / "surface.json"
+        # json writes NaN as the bare token NaN, which json.loads accepts
+        path.write_text(json.dumps({"n": 2, "center": list(center),
+                                    "kind": kind, "params": params}))
+        return str(path)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("sphere", {"R": math.nan}),
+        ("ellipsoid", {"radii": [math.nan, 1.2]})])
+    def test_nan_size_exits_one_in_subprocess(self, tmp_path, kind, params):
+        # a NaN radius once made the orbit search spin forever: run it in a
+        # subprocess with a timeout so that a regression fails, not hangs
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "reebpinch.cli", "surface-orbits",
+             "--surface", self.surface_file(tmp_path, kind, params),
+             "--seeds", "2", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert "malformed surface file" in proc.stderr
+        assert "must be finite and > 0" in proc.stderr
+
+    def test_negative_radius_exits_one(self, tmp_path, capsys):
+        path = self.surface_file(tmp_path, "ellipsoid", {"radii": [-1.0, 1.2]})
+        code, _, err = run(capsys, "verify-pinch", "--surface", path,
+                           "--seeds", "2", "--out", str(tmp_path))
+        assert code == 1
+        assert "radii must be finite and > 0" in err
+
+    def test_short_center_exits_one(self, tmp_path, capsys):
+        path = self.surface_file(tmp_path, "sphere", {"R": 1.0},
+                                 center=(0.0, 0.0, 0.0))
+        code, _, err = run(capsys, "verify-pinch", "--surface", path,
+                           "--seeds", "2", "--out", str(tmp_path))
+        assert code == 1
+        assert "center must be 4 finite numbers" in err
+
+    def test_null_coef_exits_one(self, tmp_path, capsys):
+        path = self.surface_file(tmp_path, "radial_series", {
+            "R": 1.0, "terms": [{"indices": [0], "coef": None}]})
+        code, _, err = run(capsys, "surface-orbits", "--surface", path,
+                           "--seeds", "2", "--out", str(tmp_path))
+        assert code == 1
+        assert "malformed surface file" in err
+
+    def test_window_from_zero_exits_one(self, tmp_path, capsys, sphere_file):
+        code, _, err = run(capsys, "surface-orbits", "--surface", sphere_file,
+                           "--seeds", "2", "--window", "0,3.5",
+                           "--out", str(tmp_path))
+        assert code == 1
+        assert "action window must satisfy lo > 0" in err
 
 
 class TestReportRoundTrip:

@@ -3,11 +3,14 @@ the graph-Hamiltonian correspondence over the unit sphere."""
 
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reebpinch.radial_profile import CoreParams, build_profile, verify_profile
+from reebpinch.connecting_ode import IntegrationError
 from reebpinch import contact_dynamics as cd
 from reebpinch.orbit_search import flow
 
@@ -55,6 +58,89 @@ class TestAmbientSpace:
         assert np.allclose(space.J(space.J(u)), -u)
         assert np.dot(space.J(u), space.J(v)) == pytest.approx(np.dot(u, v))
         assert space.omega(u, v) == pytest.approx(-space.omega(v, u))
+
+
+# the fields each kind reads: a flaw in one of them must raise ValueError
+_FIELDS = {"sphere": ("center", "R"), "ellipsoid": ("center", "radii"),
+           "radial_series": ("center", "R", "terms")}
+_NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_NOT_POSITIVE = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0])
+
+
+class TestSurfaceValidation:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_complex_coordinate(self, n):
+        # verify-pinch once ran on n = 0 and reported a needed count of 0
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            cd.StarshapedSurface(cd.AmbientSpace(n), np.zeros(0), "sphere",
+                                 {"R": 1.0})
+
+    def test_sphere_is_empty_series(self, space):
+        u = cd.sphere_directions(4, 100, seed=7)
+        for R in (1.0, 1.3):
+            sphere = cd.StarshapedSurface(space, np.zeros(4), "sphere",
+                                          {"R": R})
+            series = cd.StarshapedSurface(space, np.zeros(4), "radial_series",
+                                          {"R": R, "terms": []})
+            assert np.array_equal(sphere.rho(u), series.rho(u))
+            assert np.array_equal(sphere.rho_grad(u), series.rho_grad(u))
+            assert np.array_equal(sphere.rho(u), np.full(100, R))
+
+    @pytest.mark.parametrize("flaw", [None, "center", "center length",
+                                      "radii", "radii length", "R",
+                                      "terms index", "terms coef"])
+    @pytest.mark.parametrize("kind", sorted(_FIELDS))
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(1, 3), data=st.data())
+    def test_valid_or_value_error(self, kind, flaw, n, data):
+        """A surface with one invalid field that its kind reads raises
+        ValueError naming the field; any other surface builds and has
+        finite, positive sizes, a finite (2n,) center and in-range, finite
+        terms."""
+        dim = 2 * n
+        draw = data.draw
+        center = draw(st.lists(st.floats(-2.0, 2.0), min_size=dim,
+                               max_size=dim))
+        radii = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+        R = draw(st.floats(0.5, 2.0))
+        terms = draw(st.lists(st.tuples(
+            st.lists(st.integers(0, dim - 1), max_size=3),
+            st.floats(-0.5, 0.5)), min_size=1, max_size=3))
+        k = draw(st.integers(0, len(terms) - 1))
+        if flaw == "center":
+            center[draw(st.integers(0, dim - 1))] = draw(_NOT_FINITE)
+        elif flaw == "center length":
+            center = draw(st.sampled_from([center[:-1], center + [0.0]]))
+        elif flaw == "radii":
+            radii[draw(st.integers(0, n - 1))] = draw(_NOT_POSITIVE)
+        elif flaw == "radii length":
+            radii = draw(st.sampled_from([radii[:-1], radii + [1.0]]))
+        elif flaw == "R":
+            R = draw(_NOT_POSITIVE)
+        elif flaw == "terms index":
+            terms[k] = (terms[k][0] + [draw(st.sampled_from([-1, dim]))],
+                        terms[k][1])
+        elif flaw == "terms coef":
+            terms[k] = (terms[k][0], draw(_NOT_FINITE))
+        params = {"R": R, "radii": radii,
+                  "terms": [cd.SeriesTerm(tuple(i), c) for i, c in terms]}
+        build = lambda: cd.StarshapedSurface(cd.AmbientSpace(n), center,
+                                             kind, params)
+        if flaw is not None and flaw.split()[0] in _FIELDS[kind]:
+            with pytest.raises(ValueError, match=flaw.split()[0]):
+                build()
+            return
+        S = build()
+        assert S.center.shape == (dim,) and np.all(np.isfinite(S.center))
+        sizes = radii if kind == "ellipsoid" else [R]
+        assert np.all(np.isfinite(sizes)) and np.all(np.asarray(sizes) > 0)
+        if kind == "ellipsoid":
+            assert len(radii) == n
+        if kind == "radial_series":
+            for t in S.params["terms"]:
+                assert all(0 <= i < dim for i in t.indices)
+                assert math.isfinite(t.coef)
 
 
 class TestNormals:
@@ -131,6 +217,32 @@ class TestFlow:
                                  {"R": 1.0})
         with pytest.raises(cd.HypothesisError):
             flow(S, [(np.array([2.0, 0.0, 0.0, 0.0]), 1.0, 1e-12, None)])
+
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_nonpositive_T_refused(self, sphere, T):
+        with pytest.raises(ValueError, match="T > 0"):
+            flow(sphere, [(np.array([1.0, 0.0, 0.0, 0.0]), T, 1e-12, None)])
+
+    def test_nan_step_size_fails(self, sphere, monkeypatch):
+        # the field overflows, every error estimate is NaN and so is the
+        # step size; the step loop must stop instead of retrying forever.
+        # The alarm turns a regression into a failure instead of a hang.
+        monkeypatch.setattr(cd.StarshapedSurface, "reeb",
+                            lambda self, x: 1e300 * np.asarray(x))
+
+        def hung(signum, frame):
+            raise TimeoutError("flow still running after 30 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with np.errstate(all="ignore"), pytest.raises(
+                    IntegrationError, match="flow integration failed"):
+                flow(sphere, [(np.array([1.0, 0.0, 0.0, 0.0]), 1.0, 1e-10,
+                               None)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_off_surface_request_fails_whole_batch(self, ellipsoid):
         good = ellipsoid.point(cd.sphere_directions(4, 3, seed=2))

@@ -90,6 +90,13 @@ class TestFindClosedOrbits:
         for orb in res:
             assert orb.period < 1.46 * math.pi  # the 2.25 pi orbit is out
 
+    @pytest.mark.parametrize("window, rule", [
+        ((0.0, 3.5), "lo > 0"), ((-1.0, 3.5), "lo > 0"),
+        ((3.5, 2.8), "lo < hi"), ((-3.5, -2.8), "lo > 0")])
+    def test_window_must_be_positive_and_ordered(self, window, rule):
+        with pytest.raises(ValueError, match=rule):
+            osr.SearchConfig(seeds=2, action_window=window)
+
     def test_empty_result_keeps_stats(self, space):
         # no closed orbits in a window far below the shortest period
         fat = cd.StarshapedSurface(space, np.zeros(4), "ellipsoid",
