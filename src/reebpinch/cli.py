@@ -137,8 +137,33 @@ def _exit_code(passed) -> int:
 # argument handling
 # ---------------------------------------------------------------------------
 
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integral(v) -> bool:
+    return _number(v) and (isinstance(v, int) or v.is_integer())
+
+
+# what a config-file value must be, by flag type or, for untyped flags, by
+# key: (test, description); any other untyped flag takes a string
+_CONFIG_TYPES = {
+    float: (_number, "a number"),
+    int: (_integral, "an integer"),
+    "window": (lambda v: isinstance(v, str) or (
+        isinstance(v, list) and len(v) == 2 and all(map(_number, v))),
+        'a "lo,hi" string or a list of 2 numbers'),
+    "radii": (lambda v: isinstance(v, str) or (
+        isinstance(v, list) and all(map(_number, v))),
+        "a string or a list of numbers"),
+}
+_STRING = (lambda v: isinstance(v, str), "a string")
+
+
 def _load_config(args: argparse.Namespace) -> dict:
-    """Merge config file values with the command's flags (flags win)."""
+    """Merge config file values with the command's flags (flags win).  A
+    config value of the wrong JSON type for its flag exits 1 naming the key;
+    values are stored as given, so they hash as written."""
     cfg = {}
     if args.config:
         try:
@@ -153,8 +178,12 @@ def _load_config(args: argparse.Namespace) -> dict:
                 f"column {exc.colno}: {exc.msg}")
         if not isinstance(cfg, dict):
             raise SystemExit("config file must hold a JSON object")
-    for flag, _ in COMMANDS[args.command][1]:
+    for flag, kind in COMMANDS[args.command][1]:
         key = flag[2:]       # "rng-seed" stays hyphenated: it feeds the hash
+        ok, what = _CONFIG_TYPES.get(kind or key, _STRING)
+        if key in cfg and not ok(cfg[key]):
+            raise SystemExit(f"config {key!r} must be {what}, "
+                             f"got {json.dumps(cfg[key])}")
         val = getattr(args, key.replace("-", "_"))
         if val is not None:
             cfg[key] = val

@@ -19,6 +19,7 @@ f = (rho/R1)^2 with the unit conversion scale = pi*R1^2.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -115,29 +116,54 @@ class AmbientSpace:
 # ---------------------------------------------------------------------------
 
 # Smooth sphere functions used by the "radial_series" kind: each term is a
-# coefficient times a product of coordinate monomials restricted to the
-# sphere, psi(u) = prod_k u_{i_k}.
+# coefficient times a product of coordinates restricted to the sphere,
+# psi(u) = prod_k u_{i_k}.  A term is the JSON record; the surface compiles
+# its terms into one monomial basis (_compile_series).
 @dataclass(frozen=True)
 class SeriesTerm:
     indices: tuple
     coef: float
 
-    def value(self, u: np.ndarray) -> np.ndarray:
-        out = np.ones(u.shape[:-1])
-        for i in self.indices:
-            out = out * u[..., i]
-        return self.coef * out
 
-    def grad(self, u: np.ndarray) -> np.ndarray:
-        """Ambient gradient of the monomial (product rule over repeated indices)."""
-        g = np.zeros_like(u)
-        for k, i in enumerate(self.indices):
-            part = np.ones(u.shape[:-1])
-            for m, j in enumerate(self.indices):
-                if m != k:
-                    part = part * u[..., j]
-            g[..., i] += part
-        return self.coef * g
+def _compile_series(dim: int, R: float, terms) -> tuple:
+    """Compile rho = R (1 + sum terms) into a monomial basis and one matrix.
+
+    A monomial is its sorted index tuple; the basis holds the monomials of
+    the terms, of their first derivatives, and every prefix of those, in
+    degree order with () first.  Returns (blocks, C): block (lo, hi, var,
+    parent) fills basis rows lo:hi as u[var] * basis[parent], and C of
+    shape (monomials, 1 + dim) maps the basis to [rho - R, d rho/du_0, ...].
+    Repeated indices and duplicate terms are merged, and R is folded in.
+    """
+    merged = {}
+    for term in terms:
+        mono = tuple(sorted(int(i) for i in term.indices))
+        merged[mono] = merged.get(mono, 0.0) + float(term.coef)
+    rows = []    # (monomial, output column, coefficient)
+    for mono, coef in merged.items():
+        rows.append((mono, 0, R * coef))
+        for i in sorted(set(mono)):
+            k = mono.index(i)
+            rows.append((mono[:k] + mono[k + 1:], 1 + i,
+                         mono.count(i) * R * coef))
+    needed = {()}
+    for mono, _, _ in rows:
+        while mono not in needed:
+            needed.add(mono)
+            mono = mono[:-1]
+    basis = sorted(needed, key=lambda m: (len(m), m))
+    position = {m: j for j, m in enumerate(basis)}
+    C = np.zeros((len(basis), 1 + dim))
+    for mono, k, coef in rows:
+        C[position[mono], k] += coef
+    blocks = []
+    lo = 1
+    for _, group in itertools.groupby(basis[1:], key=len):
+        block = list(group)
+        blocks.append((lo, lo + len(block), np.array([m[-1] for m in block]),
+                       np.array([position[m[:-1]] for m in block])))
+        lo += len(block)
+    return tuple(blocks), C
 
 
 def _require_positive(name: str, value, shape: tuple) -> None:
@@ -190,7 +216,24 @@ class StarshapedSurface:
             if not math.isfinite(term.coef):
                 raise ValueError(f"terms[{k}] coef must be finite, "
                                  f"got {term.coef}")
-        object.__setattr__(self, "_terms", tuple(terms))
+        object.__setattr__(self, "_R", float(self.params["R"]))
+        blocks, C = _compile_series(dim, self._R, terms)
+        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_C", C)
+
+    def _series(self, u: np.ndarray) -> np.ndarray:
+        """[rho - R, d rho/du_0, ...] of a sphere or radial series at the
+        directions u.  The contraction is an einsum, not BLAS: each row is
+        summed in the same order whatever the batch, so flow stays
+        bit-identical in any batch."""
+        lead = u.shape[:-1]
+        uT = u.reshape(-1, u.shape[-1]).T
+        B = np.empty((len(self._C), uT.shape[1]))   # monomial x direction
+        B[0] = 1.0
+        for lo, hi, var, parent in self._blocks:
+            np.multiply(uT.take(var, axis=0), B.take(parent, axis=0),
+                        out=B[lo:hi])
+        return np.einsum("mn,mk->nk", B, self._C).reshape(lead + (-1,))
 
     def rho(self, u: np.ndarray) -> np.ndarray:
         """Radial function on unit directions (vectorized over leading axes)."""
@@ -198,10 +241,7 @@ class StarshapedSurface:
         if self.kind == "ellipsoid":
             q = np.sum((u / self._axes) ** 2, axis=-1)
             return q ** -0.5
-        val = np.ones(u.shape[:-1])
-        for term in self._terms:
-            val = val + term.value(u)
-        return float(self.params["R"]) * val
+        return self._R + self._series(u)[..., 0]
 
     def rho_grad(self, u: np.ndarray) -> np.ndarray:
         """Ambient gradient of the defining formula of rho at unit directions."""
@@ -209,10 +249,7 @@ class StarshapedSurface:
         if self.kind == "ellipsoid":
             q = np.sum((u / self._axes) ** 2, axis=-1)
             return -(q[..., None] ** -1.5) * (u / self._axes ** 2)
-        g = np.zeros_like(u)
-        for term in self._terms:
-            g = g + term.grad(u)
-        return float(self.params["R"]) * g
+        return self._series(u)[..., 1:]
 
     # -- geometry helpers --------------------------------------------------
 
@@ -240,24 +277,33 @@ class StarshapedSurface:
         u = u / np.linalg.norm(u, axis=-1, keepdims=True)
         return self.center + self.rho(u)[..., None] * u
 
-    def normals(self, x: np.ndarray) -> np.ndarray:
-        """Unit exterior normals at on-surface points (no residual check)."""
+    def _normal_dir(self, x: np.ndarray) -> np.ndarray:
+        """(|w| + <g, u>) u - g with w = x - x0, u = w/|w| and g = rho_grad(u):
+        |w| times u - g_t, where g_t is the tangential gradient of the
+        0-homogeneous extension of rho, so a positive multiple of the unit
+        exterior normal."""
         w = np.asarray(x, dtype=float) - self.center
         nr = np.linalg.norm(w, axis=-1)
         u = w / nr[..., None]
         g = self.rho_grad(u)
-        # tangential part of the gradient of the 0-homogeneous extension
-        gt = (g - np.sum(g * u, axis=-1)[..., None] * u) / nr[..., None]
-        nu = u - gt
+        return (nr + np.sum(g * u, axis=-1))[..., None] * u - g
+
+    def normals(self, x: np.ndarray) -> np.ndarray:
+        """Unit exterior normals at on-surface points (no residual check)."""
+        nu = self._normal_dir(x)
         return nu / np.linalg.norm(nu, axis=-1, keepdims=True)
 
     def reeb(self, x: np.ndarray) -> np.ndarray:
         """Batched Reeb field (2/<nu, x>) J nu at on-surface points (no
-        residual check); raises HypothesisError where <nu, x> <= 0."""
-        nu = self.normals(x)
-        denom = np.sum(nu * np.asarray(x, dtype=float), axis=-1)
+        residual check); raises HypothesisError where <nu, x> <= 0.  The
+        field is invariant under positive rescaling of nu, so it is taken
+        from the unnormalized normal direction."""
+        x = np.asarray(x, dtype=float)
+        nu = self._normal_dir(x)
+        denom = np.sum(nu * x, axis=-1)
         if denom.min() <= 0.0:
-            raise HypothesisError(f"<nu, x> = {float(denom.min()):.3e} <= 0: "
+            unit = denom / np.linalg.norm(nu, axis=-1)
+            raise HypothesisError(f"<nu, x> = {float(unit.min()):.3e} <= 0: "
                                   "not starshaped about the origin")
         return (2.0 / denom)[..., None] * self.space.J(nu)
 
@@ -298,8 +344,16 @@ def hypothesis_margin(surface: StarshapedSurface, R1: float) -> float:
 
 
 def pinch_radii(surface: StarshapedSurface):
-    """(R1, R2, ratio_ok): extremal radii |x - x0|, refined by local
-    optimization from the best sampled directions; ratio_ok iff R2/R1 < sqrt 2."""
+    """(R1, R2, ratio_ok): extremal radii |x - x0|; ratio_ok iff R2/R1 < sqrt 2.
+
+    Closed forms for a sphere (R, R) and an ellipsoid (its smallest and
+    largest radius).  A radial series takes the extremes of a direction
+    sample, refined by local optimization from the best sampled directions.
+    """
+    if surface.kind != "radial_series":
+        sizes = surface._axes if surface.kind == "ellipsoid" else surface._R
+        R1, R2 = float(np.min(sizes)), float(np.max(sizes))
+        return R1, R2, bool(R2 / R1 < math.sqrt(2.0))
     u = sphere_directions(surface.space.dim, _SPHERE_SAMPLES)
     r = surface.rho(u)
 

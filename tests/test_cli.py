@@ -125,6 +125,47 @@ class TestConfigHandling:
         assert os.path.basename(f1) == os.path.basename(f2)
         assert Path(f1).read_text() == Path(f2).read_text()
 
+    @pytest.mark.parametrize("command, key, value, what", [
+        ("surface-orbits", "seeds", None, "an integer, got null"),
+        ("surface-orbits", "seeds", 2.5, "an integer, got 2.5"),
+        ("surface-orbits", "window", 5,
+         'a "lo,hi" string or a list of 2 numbers, got 5'),
+        ("surface-orbits", "window", [1.0, True],
+         'a "lo,hi" string or a list of 2 numbers, got [1.0, true]'),
+        ("surface-orbits", "surface", 3, "a string, got 3"),
+        ("verify-ellipsoid", "radii", 5,
+         "a string or a list of numbers, got 5"),
+        ("ode-connect", "tol", "abc", 'a number, got "abc"'),
+        ("profile-check", "R0", True, "a number, got true"),
+    ])
+    def test_wrong_value_type_exits_one(self, tmp_path, capsys, sphere_file,
+                                        command, key, value, what):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"surface": sphere_file, key: value}))
+        code, out, err = run(capsys, command, "--config", str(cfg),
+                             "--out", str(tmp_path))
+        assert code == 1
+        assert err == f"config {key!r} must be {what}\n"
+        assert out == ""
+
+    def test_valid_values_stored_as_written(self, tmp_path, capsys,
+                                            sphere_file):
+        # an integral float is an integer, and a list is a window; the
+        # config hash sees the values as written
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"surface": sphere_file, "seeds": 2.0,
+                                   "window": [2.8, 3.5]}))
+        code, _, _ = run(capsys, "surface-orbits", "--config", str(cfg),
+                         "--out", str(tmp_path))
+        assert code == 0
+        doc = load_report(tmp_path, "surface-orbits")
+        assert doc["window"] == [2.8, 3.5]
+        assert doc["search"]["seeds"] == 2
+        h = cli.config_hash({"command": "surface-orbits",
+                             **json.loads(cfg.read_text())})
+        assert os.path.basename(report_path(tmp_path, "surface-orbits")) \
+            == f"{h}_surface-orbits.json"
+
     def test_distinct_commands_distinct_hashes(self, tmp_path, capsys):
         run(capsys, "ode-connect", "--out", str(tmp_path))
         run(capsys, "ode-probe", "--out", str(tmp_path))

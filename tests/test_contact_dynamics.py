@@ -41,6 +41,15 @@ def ellipsoid(space):
 
 
 @pytest.fixture(scope="module")
+def series(space):
+    terms = [cd.SeriesTerm((0, 2), 0.015), cd.SeriesTerm((1, 1, 3), -0.012),
+             cd.SeriesTerm((0, 1, 2), 0.01), cd.SeriesTerm((3, 3), -0.008),
+             cd.SeriesTerm((2,), 0.005), cd.SeriesTerm((2, 0), 0.004)]
+    return cd.StarshapedSurface(space, np.zeros(4), "radial_series",
+                                {"R": 1.0, "terms": terms})
+
+
+@pytest.fixture(scope="module")
 def graph_f(ellipsoid):
     f, scale = cd.radial_to_graph(ellipsoid)
     return f
@@ -49,6 +58,42 @@ def graph_f(ellipsoid):
 def random_surface_point(surface, rng):
     u = rng.normal(size=surface.space.dim)
     return surface.point(u / np.linalg.norm(u))
+
+
+def reference_rho(terms, R, u):
+    """R (1 + sum_terms coef prod_k u_{i_k}), one product loop per term."""
+    val = np.ones(u.shape[:-1])
+    for indices, coef in terms:
+        out = np.ones(u.shape[:-1])
+        for i in indices:
+            out = out * u[..., i]
+        val = val + coef * out
+    return R * val
+
+
+def reference_rho_grad(terms, R, u):
+    """Ambient gradient of reference_rho by the product rule over each
+    term's factors."""
+    grad = np.zeros_like(u)
+    for indices, coef in terms:
+        g = np.zeros_like(u)
+        for k, i in enumerate(indices):
+            part = np.ones(u.shape[:-1])
+            for m, j in enumerate(indices):
+                if m != k:
+                    part = part * u[..., j]
+            g[..., i] += part
+        grad = grad + coef * g
+    return R * grad
+
+
+def reference_series_normal(terms, R, x):
+    """Unnormalized exterior normal u - g_t of a centred radial series at x,
+    g_t the tangential part of the gradient of rho over |x|."""
+    nr = np.linalg.norm(x, axis=-1)
+    u = x / nr[..., None]
+    g = reference_rho_grad(terms, R, u)
+    return u - (g - np.sum(g * u, axis=-1)[..., None] * u) / nr[..., None]
 
 
 class TestAmbientSpace:
@@ -85,6 +130,32 @@ class TestSurfaceValidation:
             assert np.array_equal(sphere.rho(u), series.rho(u))
             assert np.array_equal(sphere.rho_grad(u), series.rho_grad(u))
             assert np.array_equal(sphere.rho(u), np.full(100, R))
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(1, 3), data=st.data())
+    def test_compiled_series_matches_term_loops(self, n, data):
+        """rho and rho_grad from the compiled basis agree with the per-term
+        product loops, for repeated indices, duplicate terms and degrees
+        0 to 5."""
+        dim = 2 * n
+        draw = data.draw
+        terms = draw(st.lists(st.tuples(
+            st.lists(st.integers(0, dim - 1), max_size=5),
+            st.floats(-0.2, 0.2)), max_size=6))
+        terms += draw(st.lists(st.sampled_from(terms), max_size=2)
+                      if terms else st.just([]))
+        R = draw(st.floats(0.5, 2.0))
+        S = cd.StarshapedSurface(
+            cd.AmbientSpace(n), np.zeros(dim), "radial_series",
+            {"R": R, "terms": [cd.SeriesTerm(tuple(i), c) for i, c in terms]})
+        u = cd.sphere_directions(dim, 64, seed=draw(st.integers(0, 99)))
+        assert np.max(np.abs(S.rho(u) - reference_rho(terms, R, u))) < 1e-14
+        assert np.max(np.abs(S.rho_grad(u)
+                             - reference_rho_grad(terms, R, u))) < 1e-14
+        # one direction alone, without a batch axis
+        assert S.rho(u[0]).shape == ()
+        assert S.rho_grad(u[0]).shape == (dim,)
 
     @pytest.mark.parametrize("flaw", [None, "center", "center length",
                                       "radii", "radii length", "R",
@@ -193,6 +264,31 @@ class TestReebField:
         with pytest.raises(cd.HypothesisError):
             cd.reeb_field(S, np.array([2.0, 0.0, 0.0, 0.0]))
 
+    def test_matches_unit_normal_formula(self, ellipsoid, series, space):
+        """reeb is (2/<nu, x>) J nu and normals is nu, for the unit normal
+        nu: the gradient of the quadric on the ellipsoid, u - g_t on the
+        series."""
+        terms = [(t.indices, t.coef) for t in series.params["terms"]]
+        cases = [(ellipsoid, lambda x: x / np.array([1.0, 1.0, 1.44, 1.44])),
+                 (series, lambda x: reference_series_normal(terms, 1.0, x))]
+        for surface, direction in cases:
+            x = surface.point(cd.sphere_directions(4, 200, seed=11))
+            nu = direction(x)
+            nu /= np.linalg.norm(nu, axis=-1, keepdims=True)
+            R = (2.0 / np.sum(nu * x, axis=-1))[:, None] * space.J(nu)
+            assert np.max(np.abs(surface.reeb(x) - R)) < 1e-14
+            assert np.max(np.abs(surface.normals(x) - nu)) < 1e-14
+
+    def test_hypothesis_violation_reports_unit_normal(self, space):
+        # sphere about (3, 0, 0, 0): at (2, 0, 0, 0) the unit normal is
+        # (-1, 0, 0, 0) and <nu, x> = -2, whatever the normal's scale
+        S = cd.StarshapedSurface(space, np.array([3.0, 0, 0, 0]), "sphere",
+                                 {"R": 1.0})
+        pts = np.array([[3.0, 1.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(cd.HypothesisError,
+                           match=r"<nu, x> = -2\.000e\+00"):
+            S.reeb(pts)
+
 
 class TestFlow:
     def test_sphere_period(self, sphere):
@@ -250,22 +346,26 @@ class TestFlow:
             flow(ellipsoid, [(good, 2.0, 1e-10, None),
                              (1.01 * good[0], 2.0, 1e-10, None)])
 
-    def test_request_independent_of_batch(self, ellipsoid):
-        x = ellipsoid.point(cd.sphere_directions(4, 8, seed=3))
-        requests = [
-            (x[0], 3.0, 1e-8, None),
-            (x[1:4], 4.5, 1e-12, np.linspace(0.0, 4.5, 33)),
-            (x[4:], 2.0, 1e-10, None),
-            (x[7], 1.3, 1e-12, np.array([1.3, 0.2, 0.7])),
-        ]
-        batch = flow(ellipsoid, requests)
-        for req, together in zip(requests, batch):
-            alone = flow(ellipsoid, [req])[0]
-            assert alone.shape == together.shape
-            assert np.array_equal(alone, together)
-        # a request's result is also unchanged by its position
-        reordered = flow(ellipsoid, requests[::-1])[::-1]
-        assert all(np.array_equal(a, b) for a, b in zip(batch, reordered))
+    def test_request_independent_of_batch(self, ellipsoid, series):
+        # the series field sums its monomial basis per row: a BLAS product
+        # there would make a row's value depend on the batch around it
+        for surface in (ellipsoid, series):
+            x = surface.point(cd.sphere_directions(4, 8, seed=3))
+            requests = [
+                (x[0], 3.0, 1e-8, None),
+                (x[1:4], 4.5, 1e-12, np.linspace(0.0, 4.5, 33)),
+                (x[4:], 2.0, 1e-10, None),
+                (x[7], 1.3, 1e-12, np.array([1.3, 0.2, 0.7])),
+            ]
+            batch = flow(surface, requests)
+            for req, together in zip(requests, batch):
+                alone = flow(surface, [req])[0]
+                assert alone.shape == together.shape
+                assert np.array_equal(alone, together)
+            # a request's result is also unchanged by its position
+            reordered = flow(surface, requests[::-1])[::-1]
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(batch, reordered))
 
     # at 1e-4 solve_ivp rejects one step, which exercises the retry path
     @pytest.mark.parametrize("tol, T", [(1e-8, 3.0), (1e-12, 4.5),
@@ -327,6 +427,19 @@ class TestSampling:
         fat = cd.StarshapedSurface(space, np.zeros(4), "ellipsoid",
                                    {"radii": [1.0, 1.5]})
         assert cd.pinch_radii(fat)[2] is False
+
+
+    def test_pinch_radii_closed_forms(self):
+        # the sampled-and-refined radii of these were 1.0000000000000002
+        # and 0.9999999999999999
+        cases = [("ellipsoid", {"radii": [1.3, 1.0]}, 1.0, 1.3),
+                 ("ellipsoid", {"radii": [1.0, 1.1, 1.3]}, 1.0, 1.3),
+                 ("sphere", {"R": 1.3}, 1.3, 1.3)]
+        for kind, params, R1, R2 in cases:
+            n = len(params.get("radii", [0, 0]))
+            S = cd.StarshapedSurface(cd.AmbientSpace(n), np.zeros(2 * n),
+                                     kind, params)
+            assert cd.pinch_radii(S) == (R1, R2, True)
 
 
 class TestGraphFunction:
