@@ -60,7 +60,8 @@ class BarrierCurve:
 def barrier_curve(H: MonotoneHomotopy, n: int = 1001) -> BarrierCurve:
     """rho(s) on [-1, 0]: the unique rho in (0, R0 B] with h_s'(rho) = 1,
     by bisection vectorized over the whole s grid (h_s is convex below R0 B,
-    so the root is unique)."""
+    so the root is unique).  Where beta(s) = 0, h_s is the rescaled profile
+    and rho = R0 B by definition; the bracket is checked on the other rows."""
     core = H.profile.core
     s = np.linspace(-1.0, 0.0, n)
     lo = np.full(n, H.profile.shape.delta_bar)
@@ -70,10 +71,10 @@ def barrier_curve(H: MonotoneHomotopy, n: int = 1001) -> BarrierCurve:
         return np.asarray(H.dr(s, r), dtype=float) - 1.0
 
     glo, ghi = g(lo), g(hi)
-    if np.any(glo >= 0.0) or np.any(ghi < 0.0):
-        bad = float(s[np.argmax((glo >= 0.0) | (ghi < 0.0))])
-        raise IntegrationError(f"no bracket for rho({bad})")
-    exact = ghi == 0.0
+    exact = (H.beta(s) == 0.0) | (ghi == 0.0)
+    bad = ~exact & ((glo >= 0.0) | (ghi < 0.0))
+    if np.any(bad):
+        raise IntegrationError(f"no bracket for rho({float(s[np.argmax(bad)])})")
     while np.max(hi - lo - _BARRIER_RTOL * hi) > 0.0:
         mid = 0.5 * (lo + hi)
         below = g(mid) < 0.0
@@ -249,11 +250,11 @@ def uniqueness_probe(H: MonotoneHomotopy, s0: float, F0: float,
 # ---------------------------------------------------------------------------
 
 def zeta2_coefficient(traj: ConnectingTrajectory, s: float) -> float:
-    """F(s) h_s''(F(s)); equals A h''(A) = c exactly on the frozen branch."""
+    """F(s) h_s''(F(s)); on the frozen branch A h''(A), read off the log
+    piece as dh'/d log r, which is c exactly."""
     H = traj.homotopy
     if s <= -1.0:
-        A = H.profile.core.A
-        return A * float(H.profile.d2h(A))
+        return float(H.profile.rd2h(H.profile.core.A))
     F = traj.F_at(s)
     return float(F * H.drr(s, F))
 

@@ -182,7 +182,8 @@ class StarshapedSurface:
     rho = R (1 + sum terms)) or "sphere" (params: R; the series with no
     terms).  Construction raises ValueError for a radius or R that is not
     finite and positive, a center that is not 2n finite numbers, a term
-    index outside 0..2n-1 or a non-finite coefficient.
+    index that is not an integer in 0..2n-1, or a coefficient that is a
+    boolean or not finite.
     """
 
     space: AmbientSpace
@@ -209,12 +210,14 @@ class StarshapedSurface:
         _require_positive("R", self.params["R"], ())
         terms = self.params["terms"] if self.kind == "radial_series" else ()
         for k, term in enumerate(terms):
-            if not all(isinstance(i, (int, np.integer)) and 0 <= i < dim
+            # a JSON boolean is an int to Python, but not an index or a coef
+            if not all(isinstance(i, (int, np.integer))
+                       and not isinstance(i, bool) and 0 <= i < dim
                        for i in term.indices):
                 raise ValueError(f"terms[{k}] index outside 0..{dim - 1}: "
                                  f"{list(term.indices)}")
-            if not math.isfinite(term.coef):
-                raise ValueError(f"terms[{k}] coef must be finite, "
+            if isinstance(term.coef, bool) or not math.isfinite(term.coef):
+                raise ValueError(f"terms[{k}] coef must be a finite number, "
                                  f"got {term.coef}")
         object.__setattr__(self, "_R", float(self.params["R"]))
         blocks, C = _compile_series(dim, self._R, terms)
@@ -654,13 +657,19 @@ def surface_to_json(surface: StarshapedSurface) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _json_coef(value):
+    """A term coefficient as a float; a boolean stays one, for validation."""
+    return value if isinstance(value, bool) else float(value)
+
+
 def surface_from_json(text: str) -> StarshapedSurface:
     doc = json.loads(text)
     space = AmbientSpace(int(doc["n"]))
     params = doc["params"]
     if doc["kind"] == "radial_series":
         params = {"R": float(params["R"]),
-                  "terms": [SeriesTerm(tuple(t["indices"]), float(t["coef"]))
+                  "terms": [SeriesTerm(tuple(t["indices"]),
+                                       _json_coef(t["coef"]))
                             for t in params["terms"]]}
     return StarshapedSurface(space, np.asarray(doc["center"], dtype=float),
                              doc["kind"], params)

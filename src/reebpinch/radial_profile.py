@@ -4,8 +4,9 @@ Constructs a piecewise-smooth radial function h(r) whose slope rises through 1
 (at r=A) and R0 (at r=B) along an exact logarithmic piece, plateaus at R0+eps,
 and then descends back through R0 (at C), 1 (at D) and down to 0 for large r.
 All dynamics downstream depend only on h' and h'', so the slope is the primary
-stored object; h itself is recovered by piecewise integration anchored at
-h(A) = 0.
+stored object: the pieces compile into one table of polynomials in t = log r,
+which gives h', h'' and, by Gauss-Legendre integration from anchors pinned at
+h(A) = 0, h itself.
 
 Also houses the rescaled profile l(r) = h(r/R0) and the monotone interpolation
 h_s(r) between the two.
@@ -189,8 +190,11 @@ def in_forbidden_set(core: CoreParams, v: float, guard: float = FORBIDDEN_GUARD)
 
 
 # ---------------------------------------------------------------------------
-# slope pieces (functions of t = log r)
+# slope pieces (functions of t = log r) and the table they compile into
 # ---------------------------------------------------------------------------
+
+_H_BLOCK = 256            # points per Gauss-Legendre block when evaluating h
+
 
 def _smoothstep(u):
     return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
@@ -200,82 +204,73 @@ def _smoothstep_d(u):
     return 30.0 * u * u * (1.0 - u) ** 2
 
 
-def _hermite(y0, y1, m0, m1, u):
-    u2 = u * u
-    u3 = u2 * u
-    return (y0 * (2 * u3 - 3 * u2 + 1) + m0 * (u3 - 2 * u2 + u)
-            + y1 * (-2 * u3 + 3 * u2) + m1 * (u3 - u2))
-
-
-def _hermite_d(y0, y1, m0, m1, u):
-    u2 = u * u
-    return (y0 * (6 * u2 - 6 * u) + m0 * (3 * u2 - 4 * u + 1)
-            + y1 * (-6 * u2 + 6 * u) + m1 * (3 * u2 - 2 * u))
-
-
 @dataclass(frozen=True)
 class Piece:
+    """One slope piece as the profile JSON records it."""
+
     kind: str      # "const" | "log" | "hermite" | "smooth"
     t0: float      # left edge in t = log r; -inf allowed for the head plateau
     t1: float      # right edge; +inf for the tail plateau
     params: tuple
 
-    def slope(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "const":
-            return np.full_like(t, self.params[0])
-        if self.kind == "log":
-            c, logA = self.params
-            return 1.0 + c * (t - logA)
-        L = self.t1 - self.t0
-        u = (t - self.t0) / L
-        if self.kind == "hermite":
-            return _hermite(*self.params, u)
-        y0, y1 = self.params
-        return y0 + (y1 - y0) * _smoothstep(u)
 
-    def dslope_dt(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "const":
-            return np.zeros_like(t)
-        if self.kind == "log":
-            return np.full_like(t, self.params[0])
-        L = self.t1 - self.t0
-        u = (t - self.t0) / L
-        if self.kind == "hermite":
-            return _hermite_d(*self.params, u) / L
-        y0, y1 = self.params
-        return (y1 - y0) * _smoothstep_d(u) / L
-
-
-def _piece_h(piece: Piece, h_anchor: float, t):
-    """h along a piece, anchored at h(t0) = h_anchor (integral of slope * e^t)."""
-    t = np.asarray(t, dtype=float)
+def _compile(piece: Piece):
+    """(origin, length, slope row, d(slope)/dt row): polynomials in
+    u = (t - origin) / length, lowest degree first, padded to the quintic."""
+    origin, length = piece.t0, piece.t1 - piece.t0
     if piece.kind == "const":
-        v = piece.params[0]
-        return h_anchor + v * (np.exp(t) - math.exp(piece.t0))
-    if piece.kind == "log":
-        # closed form: the anchor chain keeps h == k here exactly
-        c, logA = piece.params
-        A = math.exp(logA)
-        r = np.exp(t)
-        return c * r * np.log(r) - c * r + r * (1.0 - c * logA) + A * c - A
-    # Gauss-Legendre from t0 to each query point
-    half = 0.5 * (t - piece.t0)
-    mid = 0.5 * (t + piece.t0)
-    nodes = mid[..., None] + half[..., None] * _GAUSS_NODES
-    vals = piece.slope(nodes) * np.exp(nodes)
-    return h_anchor + half * (vals @ _GAUSS_WEIGHTS)
+        origin, length, coef = 0.0, 1.0, [piece.params[0]]
+    elif piece.kind == "log":
+        # origin log A and unit length: h' = 1 + c (t - log A) bit for bit
+        c, origin = piece.params
+        length, coef = 1.0, [1.0, c]
+    elif piece.kind == "hermite":
+        y0, y1, m0, m1 = piece.params
+        coef = [y0, m0, 3.0 * (y1 - y0) - 2.0 * m0 - m1,
+                2.0 * (y0 - y1) + m0 + m1]
+    else:   # smooth: y0 + (y1 - y0)(10u^3 - 15u^4 + 6u^5)
+        y0, y1 = piece.params
+        d = y1 - y0
+        coef = [y0, 0.0, 0.0, 10.0 * d, -15.0 * d, 6.0 * d]
+    coef += [0.0] * (6 - len(coef))
+    dcoef = [k * coef[k] / length for k in range(1, 6)] + [0.0]
+    return origin, length, coef, dcoef
 
 
-def _piece_integral(piece: Piece) -> float:
-    """Integral of slope * e^t over the full piece."""
-    if piece.kind == "const":
-        return piece.params[0] * (math.exp(piece.t1) - math.exp(piece.t0))
-    half = 0.5 * (piece.t1 - piece.t0)
-    mid = 0.5 * (piece.t1 + piece.t0)
-    nodes = mid + half * _GAUSS_NODES
-    return half * float(np.dot(_GAUSS_WEIGHTS, piece.slope(nodes) * np.exp(nodes)))
+def _horner(coef, u):
+    """sum_k coef[..., k] u^k; the leading axes of coef broadcast against u."""
+    acc = coef[..., -1]
+    for k in range(coef.shape[-1] - 2, -1, -1):
+        acc = acc * u + coef[..., k]
+    return acc
+
+
+class _SlopeTable:
+    """The pieces compiled once.  Row i holds piece i's slope and its
+    t-derivative as polynomials in u = (t - origin_i) / length_i, and the
+    edge where h is anchored: the piece's left edge, or the right edge of
+    the head plateau, which is unbounded on the left and flat."""
+
+    def __init__(self, pieces: Sequence[Piece]):
+        self.origin, self.length, self.coef, self.dcoef = map(
+            np.array, zip(*map(_compile, pieces)))
+        self.edge = np.array([pc.t0 if math.isfinite(pc.t0) else pc.t1
+                              for pc in pieces])
+
+    def slope(self, i, t):
+        return _horner(self.coef[i], (t - self.origin[i]) / self.length[i])
+
+    def dslope(self, i, t):
+        """d(slope)/dt = r h''(r) on the base profile."""
+        return _horner(self.dcoef[i], (t - self.origin[i]) / self.length[i])
+
+    def integral(self, i, a, b):
+        """Gauss-Legendre integral of slope * e^t from a to b on rows i."""
+        half = 0.5 * (b - a)
+        mid = 0.5 * (b + a)
+        nodes = mid[:, None] + half[:, None] * _GAUSS_NODES
+        vals = self.slope(i[:, None], nodes) * np.exp(nodes)
+        return half * (vals @ _GAUSS_WEIGHTS)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +296,7 @@ class RadialProfile:
         self.kind = kind
         self._base = base
         self._report: Optional[PropertyReport] = None
+        self._table = _SlopeTable(self.pieces)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -308,31 +304,38 @@ class RadialProfile:
     def scale(self) -> float:
         return self.core.R0 if self.kind == "rescaled" else 1.0
 
-    def _piece_index(self, t):
-        return np.searchsorted(self.boundaries, t, side="right")
-
     def _eval(self, r, what: str):
-        """h, h' or h'' at r; a scalar for scalar r, else an array."""
+        """h, h', r h'' or h'' at r; a scalar for scalar r, else an array."""
         scalar = np.ndim(r) == 0
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r < 0.0) or (what != "h" and np.any(r == 0.0)):
             raise ValueError("profile evaluation requires r > 0")
         s = self.scale
         rr = r / s
-        out = np.empty_like(rr)
         with np.errstate(divide="ignore"):
             t = np.log(rr)
-        idx = self._piece_index(t)
-        for i in np.unique(idx):
-            m = idx == i
-            piece = self.pieces[i]
-            if what == "h":
-                out[m] = _piece_h(piece, self.anchors[i], t[m])
-            elif what == "dh":
-                out[m] = piece.slope(t[m]) / s
-            else:
-                out[m] = piece.dslope_dt(t[m]) / rr[m] / (s * s)
+        idx = np.searchsorted(self.boundaries, t, side="right")
+        table = self._table
+        if what == "h":
+            out = self._h(idx, t)
+        elif what == "dh":
+            out = table.slope(idx, t) / s
+        elif what == "rd2h":
+            out = table.dslope(idx, t) / s
+        else:
+            out = table.dslope(idx, t) / rr / (s * s)
         return out[0] if scalar else out
+
+    def _h(self, idx, t):
+        """The anchor plus the integral from the row's edge, in blocks that
+        keep the Gauss-Legendre temporaries small."""
+        table = self._table
+        # the head plateau is flat: every t left of its edge has h = h0
+        i, t = idx.ravel(), np.maximum(t, table.edge[0]).ravel()
+        out = self.anchors[i]
+        for b in (slice(j, j + _H_BLOCK) for j in range(0, t.size, _H_BLOCK)):
+            out[b] += table.integral(i[b], table.edge[i[b]], t[b])
+        return out.reshape(idx.shape)
 
     def h(self, r):
         return self._eval(r, "h")
@@ -342,6 +345,10 @@ class RadialProfile:
 
     def d2h(self, r):
         return self._eval(r, "d2h")
+
+    def rd2h(self, r):
+        """r h''(r), read as dh'/d log r: exactly c on the log piece."""
+        return self._eval(r, "rd2h")
 
     def action(self, r):
         """A_H(r) = r h'(r) - h(r)."""
@@ -374,9 +381,8 @@ def rescaled(p: RadialProfile) -> RadialProfile:
     """The profile l(r) = h(r/R0)."""
     if p.kind != "base":
         raise ValueError("only a base profile can be rescaled")
-    prof = RadialProfile(p.core, p.shape, p.pieces, p.boundaries, p.anchors,
+    return RadialProfile(p.core, p.shape, p.pieces, p.boundaries, p.anchors,
                          kind="rescaled", base=p)
-    return prof
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +395,12 @@ _DESCENT_GAP = 0.02       # descent-1 clearance above log(R0 B), keeps h'' >= 0 
 _TUNE_MARGIN = 0.05       # target clearance from the forbidden set when tuning
 
 
-def _check_segment(piece: Piece, name: str, increasing: Optional[bool]):
+def _check_segment(piece: Piece, name: str):
     """Grid check of monotonicity and the scale-invariant Hessian bound."""
+    origin, length, _, dcoef = _compile(piece)
     t = np.linspace(piece.t0, piece.t1, 257)
-    d = piece.dslope_dt(t)
-    if increasing is True and np.min(d) < -1e-12:
+    d = _horner(np.array(dcoef), (t - origin) / length)
+    if np.min(d) < -1e-12:
         raise BuildError(f"{name}: transition is not monotone (h'' >= 0 violated)")
     if np.max(np.abs(d)) >= 0.98:
         raise BuildError(f"{name}: |r h''(r)| < 1 cannot be met on this segment")
@@ -408,8 +415,6 @@ def _assemble(core: CoreParams, shape: ShapeParams) -> RadialProfile:
         raise BuildError("max h'(r) = R0 + eps < 2 violated by eps choice")
     if not (0.0 < delta_bar < A - delta_bar):
         raise BuildError("need 0 < delta_bar < A - delta_bar")
-    if not (A - delta_bar > 0.0):
-        raise BuildError("A - delta_bar > 0 violated")
 
     logA = math.log(A)
     t_db = math.log(delta_bar)
@@ -424,9 +429,7 @@ def _assemble(core: CoreParams, shape: ShapeParams) -> RadialProfile:
     # rise from slope 0 at delta_bar to the log piece, C1 in the slope
     L_rise = t_am - t_db
     rise = Piece("hermite", t_db, t_am, (0.0, slope_am, 0.0, c * L_rise))
-    _check_segment(rise, "rise to slope 1", increasing=True)
-
-    logp = Piece("log", t_am, t_bp, (c, logA))
+    _check_segment(rise, "rise to slope 1")
 
     # cap: ease the slope from R0+eps0 at B+delta up to its maximum R0+eps
     eps0 = c * math.log1p(delta / B)
@@ -435,7 +438,7 @@ def _assemble(core: CoreParams, shape: ShapeParams) -> RadialProfile:
     L_cap = 2.5 * (eps - eps0)
     t_cap = t_bp + L_cap
     cap = Piece("hermite", t_bp, t_cap, (R0 + eps0, R0 + eps, c * L_cap, 0.0))
-    _check_segment(cap, "slope cap at R0+eps", increasing=True)
+    _check_segment(cap, "slope cap at R0+eps")
 
     # descents; h'' < 0 here, so descent 1 must start past r = R0 B
     t_d1s = max(t_cap + _MIN_PLATEAU, math.log(R0 * B) + _DESCENT_GAP) + shape.dl1
@@ -456,7 +459,7 @@ def _assemble(core: CoreParams, shape: ShapeParams) -> RadialProfile:
     pieces = [
         Piece("const", -math.inf, t_db, (0.0,)),
         rise,
-        logp,
+        Piece("log", t_am, t_bp, (c, logA)),
         cap,
         Piece("const", t_cap, t_d1s, (R0 + eps,)),
         d1,
@@ -470,15 +473,16 @@ def _assemble(core: CoreParams, shape: ShapeParams) -> RadialProfile:
                            t_d2s, t_d2e, t_d3s, t_flat])
 
     # anchor chain: h == k on the log piece pins h(A) = 0
-    k_am = float(log_core_eval(core, A - delta_bar)[0])
-    k_bp = float(log_core_eval(core, B + delta)[0])
+    table = _SlopeTable(pieces)
+    steps = table.integral(np.arange(len(pieces) - 1), table.edge[:-1],
+                           table.edge[1:])
     anchors = np.empty(len(pieces))
-    anchors[2] = k_am                      # unused by the closed form, kept for export
-    anchors[1] = k_am - _piece_integral(rise)
+    anchors[2] = float(log_core_eval(core, A - delta_bar)[0])
+    anchors[1] = anchors[2] - steps[1]
     anchors[0] = anchors[1]                # h0
-    anchors[3] = k_bp
+    anchors[3] = float(log_core_eval(core, B + delta)[0])
     for i in range(4, len(pieces)):
-        anchors[i] = anchors[i - 1] + _piece_integral(pieces[i - 1])
+        anchors[i] = anchors[i - 1] + steps[i - 1]
 
     # landmarks
     C = math.exp(0.5 * (t_d1s + t_d1e))    # quintic step is symmetric: slope R0 at midpoint
@@ -624,7 +628,7 @@ def verify_profile(p: RadialProfile) -> PropertyReport:
 
     convex = r <= R0 * B
     add("h'' >= 0 for r <= R0 B", float(d2h[convex].min()), tol=1e-12)
-    add("|r h''(r)| < 1", float((1.0 - np.abs(r * d2h)).min()))
+    add("|r h''(r)| < 1", float((1.0 - np.abs(p.rd2h(r))).min()))
 
     report = PropertyReport(all(b.passed for b in bullets), tuple(bullets))
     p._report = report
@@ -656,17 +660,11 @@ def periodic_levels(p: RadialProfile):
     else:
         # l'(r) = 1 exactly where h'(r/R0) = R0, i.e. at R0 B and R0 C
         slope1 = (s * core.B, s * shape.C)
-    levels = [
-        OrbitClass(1, 0.0, s * shape.delta_bar, 0.0, -shape.h0,
-                   in_forbidden_set(core, -shape.h0)),
-        OrbitClass(2, slope1[0], slope1[0], 1.0, float(p.action(slope1[0])),
-                   in_forbidden_set(core, float(p.action(slope1[0])))),
-        OrbitClass(3, slope1[1], slope1[1], 1.0, float(p.action(slope1[1])),
-                   in_forbidden_set(core, float(p.action(slope1[1])))),
-        OrbitClass(4, s * shape.r_flat, math.inf, 0.0, -shape.h_inf,
-                   in_forbidden_set(core, -shape.h_inf)),
-    ]
-    return levels
+    levels = [(1, 0.0, s * shape.delta_bar, 0.0, -shape.h0),
+              (2, slope1[0], slope1[0], 1.0, float(p.action(slope1[0]))),
+              (3, slope1[1], slope1[1], 1.0, float(p.action(slope1[1]))),
+              (4, s * shape.r_flat, math.inf, 0.0, -shape.h_inf)]
+    return [OrbitClass(*lv, in_forbidden_set(core, lv[4])) for lv in levels]
 
 
 # ---------------------------------------------------------------------------
@@ -690,12 +688,9 @@ class MonotoneHomotopy:
 
     @staticmethod
     def dbeta(s):
-        s = np.asarray(s, dtype=float)
-        u = s + 1.0
-        inside = (u > 0.0) & (u < 1.0)
-        out = np.zeros_like(s)
-        out[inside] = -_smoothstep_d(u[inside])
-        return out
+        # the step's derivative vanishes at both ends; 0.0 - x keeps +0 there
+        return 0.0 - _smoothstep_d(np.clip(np.asarray(s, dtype=float) + 1.0,
+                                           0.0, 1.0))
 
     def value(self, s, r):
         b = self.beta(s)

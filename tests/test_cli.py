@@ -7,11 +7,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from reebpinch import cli
+from reebpinch import cli, connecting_ode
 from reebpinch.contact_dynamics import AmbientSpace, StarshapedSurface, \
     surface_to_json
 
@@ -198,13 +199,34 @@ class TestOdeCommands:
         assert all(m["determinant"] < 0.0
                    for m in doc["ellipticity_sample"])
 
-    def test_integration_error_exit_two(self, tmp_path, capsys):
-        code, _, err = run(capsys, "ode-connect",
-                           "--R0", "1.7095635533332825",
-                           "--A", "0.1522833537310362",
-                           "--c", "0.6908444119617343", "--out", str(tmp_path))
+    def test_integration_error_exit_two(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            return SimpleNamespace(success=False, message="step size underflow")
+        monkeypatch.setattr(connecting_ode, "solve_ivp", failing)
+        code, _, err = run(capsys, "ode-connect", "--out", str(tmp_path))
         assert code == 2
-        assert err.startswith("error: no bracket")
+        assert err.startswith("error: integrator failed: step size underflow")
+
+    def test_exact_root_bracket_connects(self, tmp_path, capsys):
+        # h_0'(R0 B) rounds to just below 1 here; rho(0) = R0 B by definition
+        R0, A, c = 1.7095635533332825, 0.1522833537310362, 0.6908444119617343
+        code, _, _ = run(capsys, "ode-connect", "--R0", repr(R0), "--A",
+                         repr(A), "--c", repr(c), "--out", str(tmp_path))
+        assert code == 0
+        doc = load_report(tmp_path, "ode-connect")
+        assert abs(doc["F_end"] - R0 * A * math.exp((R0 - 1.0) / c)) < 1e-6
+        assert doc["gap_margin"] > 0.0
+
+    @pytest.mark.parametrize("R0, A, c", [
+        (1.469734732992947, 0.6852010833099484, 0.47426797170192003),
+        (1.3811799278482795, 0.4318310869857669, 0.44738549180328846),
+        (1.50379444565624, 0.31302117090672255, 0.48835170082747936),
+        (1.715884868055582, 0.4253363497555256, 0.9693316631019115)])
+    def test_ode_probe_zeta2_exact(self, tmp_path, capsys, R0, A, c):
+        code, _, _ = run(capsys, "ode-probe", "--R0", repr(R0), "--A",
+                         repr(A), "--c", repr(c), "--out", str(tmp_path))
+        assert code == 0
+        assert load_report(tmp_path, "ode-probe")["zeta2_coefficient"] == c
 
 
 class TestSurfaceCommands:
@@ -315,6 +337,18 @@ class TestInvalidInput:
                            "--seeds", "2", "--out", str(tmp_path))
         assert code == 1
         assert "malformed surface file" in err
+
+    @pytest.mark.parametrize("term", [
+        {"indices": [True, False], "coef": 0.01},
+        {"indices": [0], "coef": True}])
+    def test_boolean_term_field_exits_one(self, tmp_path, capsys, term):
+        path = self.surface_file(tmp_path, "radial_series", {
+            "R": 1.0, "terms": [{"indices": [1], "coef": 0.01}, term]})
+        code, _, err = run(capsys, "verify-pinch", "--surface", path,
+                           "--seeds", "2", "--out", str(tmp_path))
+        assert code == 1
+        assert "malformed surface file" in err
+        assert "terms[1]" in err
 
     def test_window_from_zero_exits_one(self, tmp_path, capsys, sphere_file):
         code, _, err = run(capsys, "surface-orbits", "--surface", sphere_file,

@@ -22,6 +22,20 @@ from reebpinch.connecting_ode import (
 BASE = CoreParams(1.5, 0.5, 0.8)
 TOL = 1e-10
 
+# A h''(A) computed as a product missed c by one ulp on these triples
+ULP_TRIPLES = [
+    (1.469734732992947, 0.6852010833099484, 0.47426797170192003),
+    (1.3811799278482795, 0.4318310869857669, 0.44738549180328846),
+    (1.50379444565624, 0.31302117090672255, 0.48835170082747936),
+    (1.715884868055582, 0.4253363497555256, 0.9693316631019115),
+]
+# h_0'(R0 B) rounds to just below 1 on these triples: at s = 0 the bracket
+# [delta_bar, R0 B] of the barrier misses its exact root
+EXACT_ROOT_TRIPLES = [
+    (1.7095635533332825, 0.1522833537310362, 0.6908444119617343),
+    (1.6674882993102074, 0.1640057498589158, 0.9179592914879322),
+]
+
 
 @pytest.fixture(scope="module")
 def homotopy():
@@ -42,6 +56,19 @@ class TestBarrier:
     def test_endpoint_levels(self, barrier):
         assert barrier.rho[0] == pytest.approx(BASE.A, rel=1e-10)
         assert barrier.rho[-1] == pytest.approx(BASE.R0 * BASE.B, rel=1e-10)
+
+    def test_exact_root_at_zero(self, barrier):
+        assert barrier.s_grid[-1] == 0.0
+        assert barrier.rho[-1] == BASE.R0 * BASE.B
+
+    @pytest.mark.parametrize("triple", EXACT_ROOT_TRIPLES)
+    def test_root_on_the_bracket_edge(self, triple):
+        core = CoreParams(*triple)
+        H = MonotoneHomotopy(build_profile(core))
+        assert float(H.dr(0.0, core.R0 * core.B)) < 1.0
+        barrier = barrier_curve(H, 1001)
+        assert barrier.rho[-1] == core.R0 * core.B
+        assert np.all(np.diff(barrier.rho) >= -1e-12)
 
     def test_monotone(self, barrier):
         assert np.all(np.diff(barrier.rho) >= -1e-12)
@@ -97,6 +124,13 @@ class TestLinearizedData:
     def test_zeta2_frozen_value(self, trajectory):
         assert zeta2_coefficient(trajectory, -5.0) == BASE.c
         assert zeta2_coefficient(trajectory, -1.0) == BASE.c
+
+    @pytest.mark.parametrize("triple", ULP_TRIPLES)
+    def test_zeta2_exact_by_construction(self, triple):
+        core = CoreParams(*triple)
+        traj = integrate_connecting(MonotoneHomotopy(build_profile(core)),
+                                    tol=TOL)
+        assert zeta2_coefficient(traj, -2.0) == core.c
 
     def test_adjoint_log_derivative(self, trajectory):
         s, x2 = radial_adjoint_profile(trajectory)

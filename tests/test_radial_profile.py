@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.stats import qmc
 
 from reebpinch.radial_profile import (
+    BuildError,
     CoreParams,
     MonotoneHomotopy,
     action_at,
@@ -31,6 +34,128 @@ def profile():
     p = build_profile(BASE)
     verify_profile(p)
     return p
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-kind slope formulas and the per-piece Gauss h that the
+# slope table replaced, kept to check the table against
+# ---------------------------------------------------------------------------
+
+_NODES, _WEIGHTS = leggauss(40)
+
+
+def _hermite(y0, y1, m0, m1, u):
+    u2 = u * u
+    u3 = u2 * u
+    return (y0 * (2 * u3 - 3 * u2 + 1) + m0 * (u3 - 2 * u2 + u)
+            + y1 * (-2 * u3 + 3 * u2) + m1 * (u3 - u2))
+
+
+def _hermite_d(y0, y1, m0, m1, u):
+    u2 = u * u
+    return (y0 * (6 * u2 - 6 * u) + m0 * (3 * u2 - 4 * u + 1)
+            + y1 * (-6 * u2 + 6 * u) + m1 * (3 * u2 - 2 * u))
+
+
+def _smoothstep(u):
+    return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
+
+
+def reference_slope(piece, t):
+    if piece.kind == "const":
+        return np.full_like(t, piece.params[0])
+    if piece.kind == "log":
+        c, logA = piece.params
+        return 1.0 + c * (t - logA)
+    L = piece.t1 - piece.t0
+    u = (t - piece.t0) / L
+    if piece.kind == "hermite":
+        return _hermite(*piece.params, u)
+    y0, y1 = piece.params
+    return y0 + (y1 - y0) * _smoothstep(u)
+
+
+def reference_dslope_dt(piece, t):
+    if piece.kind == "const":
+        return np.zeros_like(t)
+    if piece.kind == "log":
+        return np.full_like(t, piece.params[0])
+    L = piece.t1 - piece.t0
+    u = (t - piece.t0) / L
+    if piece.kind == "hermite":
+        return _hermite_d(*piece.params, u) / L
+    y0, y1 = piece.params
+    return (y1 - y0) * 30.0 * u * u * (1.0 - u) ** 2 / L
+
+
+def reference_piece_h(piece, h_anchor, t):
+    if piece.kind == "const":
+        return h_anchor + piece.params[0] * (np.exp(t) - math.exp(piece.t0))
+    if piece.kind == "log":
+        c, logA = piece.params
+        r = np.exp(t)
+        A = math.exp(logA)
+        return c * r * np.log(r) - c * r + r * (1.0 - c * logA) + A * c - A
+    half = 0.5 * (t - piece.t0)
+    mid = 0.5 * (t + piece.t0)
+    nodes = mid[..., None] + half[..., None] * _NODES
+    vals = reference_slope(piece, nodes) * np.exp(nodes)
+    return h_anchor + half * (vals @ _WEIGHTS)
+
+
+def reference_anchors(p):
+    """The anchor chain with closed-form constant pieces and h == k on the
+    log piece."""
+    def full(piece):
+        if piece.kind == "const":
+            return piece.params[0] * (math.exp(piece.t1) - math.exp(piece.t0))
+        return float(reference_piece_h(piece, 0.0, np.array(piece.t1)))
+
+    pieces, core, shape = p.pieces, p.core, p.shape
+    k_am = float(log_core_eval(core, core.A - shape.delta_bar)[0])
+    anchors = np.empty(len(pieces))
+    anchors[2] = k_am
+    anchors[1] = k_am - full(pieces[1])
+    anchors[0] = anchors[1]
+    anchors[3] = float(log_core_eval(core, core.B + shape.delta)[0])
+    for i in range(4, len(pieces)):
+        anchors[i] = anchors[i - 1] + full(pieces[i - 1])
+    return anchors
+
+
+def reference_eval(p, r):
+    """(h, h', h'') of a base profile from the per-kind formulas."""
+    t = np.log(r)
+    idx = np.searchsorted(p.boundaries, t, side="right")
+    anchors = reference_anchors(p)
+    h, dh, d2h = (np.empty_like(t) for _ in range(3))
+    for i in np.unique(idx):
+        m = idx == i
+        piece = p.pieces[i]
+        h[m] = reference_piece_h(piece, anchors[i], t[m])
+        dh[m] = reference_slope(piece, t[m])
+        d2h[m] = reference_dslope_dt(piece, t[m]) / r[m]
+    return h, dh, d2h
+
+
+def _built_triples():
+    """The base triple and every admissible point of a 256-point Sobol net
+    over 1 < R0 < 2, 0 < A < 1, 0 < c < 1 whose profile builds."""
+    box = qmc.Sobol(d=3, scramble=True, seed=1).random(256)
+    out = [build_profile(BASE)]
+    for u in box:
+        R0, A, c = 1.0 + float(u[0]), float(u[1]), float(u[2])
+        if validate_core(R0, A, c).passed:
+            try:
+                out.append(build_profile(CoreParams(R0, A, c)))
+            except BuildError:
+                pass
+    return out
+
+
+@pytest.fixture(scope="module")
+def built():
+    return _built_triples()
 
 
 class TestValidateCore:
@@ -132,6 +257,46 @@ class TestProfile:
 
     def test_energy_budget(self):
         assert BASE.window_width < 1.0
+
+
+class TestSlopeTable:
+    """The compiled table against the per-kind formulas it replaced."""
+
+    def test_net_builds(self, built):
+        # the base triple and 55 net points build; none may stop building
+        assert len(built) >= 56
+
+    def test_matches_reference(self, built):
+        for p in built:
+            r = np.concatenate([p.grid(2000), np.exp(p.boundaries)])
+            for got, want in zip((p.h(r), p.dh(r), p.d2h(r)),
+                                 reference_eval(p, r)):
+                err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+                assert float(err.max()) <= 1e-13, p.core
+
+    def test_h_at_zero_is_h0(self, built):
+        for p in built:
+            assert p.h(0.0) == p.shape.h0
+            assert np.all(p.h(np.array([0.0, 0.5 * p.shape.delta_bar]))
+                          == p.shape.h0)
+
+    def test_log_piece_slope_bitwise(self, built):
+        for p in built:
+            logp = p.pieces[2]
+            r = np.exp(np.linspace(logp.t0, logp.t1, 1001)[:-1])
+            A, c = p.core.A, p.core.c
+            assert np.array_equal(p.dh(r), 1.0 + c * (np.log(r) - math.log(A)))
+            assert np.all(p.rd2h(r) == c)
+
+    def test_rd2h_is_r_times_d2h(self, built):
+        for p in built:
+            r = p.grid(2000)
+            assert np.allclose(p.rd2h(r), r * p.d2h(r), rtol=1e-13,
+                               atol=1e-15)
+            resc = rescaled(p)
+            rs = resc.grid(500)
+            assert np.allclose(resc.rd2h(rs), rs * resc.d2h(rs), rtol=1e-13,
+                               atol=1e-15)
 
 
 class TestRescaled:
