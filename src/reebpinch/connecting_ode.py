@@ -40,6 +40,7 @@ S_FROZEN_START = -3.0   # stored extent of the frozen branch F == A
 S_HORIZON = 50.0        # ODE end: 26 e-folding times R0/c of the base triple's approach
 _BARRIER_RTOL = 1e-12   # bisection width, 100x below the ODE tolerance 1e-10
 _ADJOINT_INNER_POINTS = 4001  # adjoint quadrature on [-1, 0], where psi varies
+_RTOL_FLOOR = 100 * float(np.finfo(float).eps)  # solve_ivp raises lower rtols to it
 
 
 class IntegrationError(RuntimeError):
@@ -121,6 +122,9 @@ def integrate_connecting(H: MonotoneHomotopy,
                          tol: float = 1e-10) -> ConnectingTrajectory:
     """Integrate G' = 1 - h_s'(e^G) from the frozen branch until e^G reaches
     R0 B, or out to S_HORIZON."""
+    if not (math.isfinite(tol) and tol >= _RTOL_FLOOR):
+        raise ValueError(f"tol must be finite and >= {_RTOL_FLOOR!r} "
+                         f"(the integrator's rtol floor), got {tol!r}")
     core = H.profile.core
     logA = math.log(core.A)
     target = core.R0 * core.B

@@ -64,8 +64,14 @@ class SearchConfig:
             raise ValueError("action window must satisfy lo < hi")
         if not lo > 0:
             raise ValueError("action window must satisfy lo > 0")
+        if not math.isfinite(hi):
+            raise ValueError(f"action window end must be finite, got hi = {hi}")
         if self.closure_tol <= 0 or self.dedupe_tol <= 0:
             raise ValueError("tolerances must be positive")
+        for name in ("closure_tol", "dedupe_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from bisect import bisect_right
+from dataclasses import dataclass, asdict, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -249,11 +250,13 @@ class _SlopeTable:
     """The pieces compiled once.  Row i holds piece i's slope and its
     t-derivative as polynomials in u = (t - origin_i) / length_i, and the
     edge where h is anchored: the piece's left edge, or the right edge of
-    the head plateau, which is unbounded on the left and flat."""
+    the head plateau, which is unbounded on the left and flat.  `rows` holds
+    the same numbers as Python floats for the scalar path."""
 
     def __init__(self, pieces: Sequence[Piece]):
+        self.rows = [_compile(pc) for pc in pieces]
         self.origin, self.length, self.coef, self.dcoef = map(
-            np.array, zip(*map(_compile, pieces)))
+            np.array, zip(*self.rows))
         self.edge = np.array([pc.t0 if math.isfinite(pc.t0) else pc.t1
                               for pc in pieces])
 
@@ -297,6 +300,7 @@ class RadialProfile:
         self._base = base
         self._report: Optional[PropertyReport] = None
         self._table = _SlopeTable(self.pieces)
+        self._bounds = self.boundaries.tolist()
 
     # -- evaluation ---------------------------------------------------------
 
@@ -305,7 +309,10 @@ class RadialProfile:
         return self.core.R0 if self.kind == "rescaled" else 1.0
 
     def _eval(self, r, what: str):
-        """h, h', r h'' or h'' at r; a scalar for scalar r, else an array."""
+        """h, h', r h'' or h'' at r; a scalar for scalar r, else an array.
+        A Python number r takes the scalar path, except for h."""
+        if what != "h" and isinstance(r, (float, int)):
+            return self._eval_scalar(float(r), what)
         scalar = np.ndim(r) == 0
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r < 0.0) or (what != "h" and np.any(r == 0.0)):
@@ -325,6 +332,23 @@ class RadialProfile:
         else:
             out = table.dslope(idx, t) / rr / (s * s)
         return out[0] if scalar else out
+
+    def _eval_scalar(self, r: float, what: str) -> float:
+        """h', r h'' or h'' at one r: the array path's arithmetic, in its
+        order, on Python floats, so both paths agree bit for bit."""
+        if r <= 0.0:
+            raise ValueError("profile evaluation requires r > 0")
+        s = self.scale
+        rr = r / s
+        t = float(np.log(rr))      # numpy's log, as on the array path
+        origin, length, coef, dcoef = self._table.rows[
+            bisect_right(self._bounds, t)]
+        u = (t - origin) / length
+        c0, c1, c2, c3, c4, c5 = coef if what == "dh" else dcoef
+        out = ((((c5 * u + c4) * u + c3) * u + c2) * u + c1) * u + c0
+        if what == "d2h":
+            return out / rr / (s * s)
+        return out / s
 
     def _h(self, idx, t):
         """The anchor plus the integral from the row's edge, in blocks that
@@ -393,6 +417,7 @@ _SAFETY = 2.0             # descent length multiplier; max |r h''| = 1/_SAFETY
 _MIN_PLATEAU = 0.05       # minimal plateau length in log r
 _DESCENT_GAP = 0.02       # descent-1 clearance above log(R0 B), keeps h'' >= 0 there
 _TUNE_MARGIN = 0.05       # target clearance from the forbidden set when tuning
+_TUNE_EXACT = 1e-8        # closed-form margins this close (relative) are re-checked
 
 
 def _check_segment(piece: Piece, name: str):
@@ -512,41 +537,66 @@ def _invert_smoothstep(y: float) -> float:
 
 def default_shape(core: CoreParams) -> ShapeParams:
     """Deterministic shape knobs: plateau extensions tuned so that the actions
-    at C, D and the two tail values stay clear of the forbidden set."""
+    at C, D and the two tail values stay clear of the forbidden set.
+
+    Each extension dl is the first of 0, 0.01, ..., 2.5 that clears the set by
+    _TUNE_MARGIN, found in closed form.  Shifting a descent right by dl in
+    t = log r leaves the plateau before it in place, and on that plateau the
+    action r h' - h is a constant Q, since its t-derivative r^2 h'' is 0
+    there.  From the plateau on, each contribution r^2 h'' dt to the action
+    moves with the descent and scales by e^dl.  So every tuned action is
+
+        Q + (A0 - Q) e^dl,     A0 its value at dl = 0,
+
+    for C R0 - h(C) (dl1, Q read on the plateau at R0 + eps), D - h(D) (dl2,
+    plateau R0 - eps) and -h_inf (dl3, plateau 1 - eps; h_inf and -h_inf must
+    both clear).  One assembled profile per knob gives A0 and Q.  A candidate
+    whose closed-form margin lies within _TUNE_EXACT (relative) of
+    _TUNE_MARGIN is decided on its assembled profile instead.
+    """
     R0, A, c = core.R0, core.A, core.c
     B = core.B
     eps = min(0.1, 0.5 * (2.0 - R0))
     delta = B * math.expm1(0.5 * eps / c)   # so that k'(B+delta) = R0 + eps/2
     delta_bar = A / 10.0
 
-    def ok(v):
-        return forbidden_distance(core, v) >= _TUNE_MARGIN
+    def distance(v):
+        return forbidden_distance(core, v)
 
     # the head plateau value -h(0) is fixed by delta_bar; shrink if needed
     for _ in range(40):
         shape = ShapeParams(eps=eps, delta=delta, delta_bar=delta_bar)
         prof = _assemble(core, shape)
-        if ok(-prof.shape.h0):
+        if distance(-prof.shape.h0) >= _TUNE_MARGIN:
             break
         delta_bar *= 0.5
     else:
         raise BuildError("-h(0) not in [A, A+c(B-A)) + Z cannot be met")
 
-    def tune(shape: ShapeParams, key: str, cond) -> ShapeParams:
+    def tune(shape: ShapeParams, prof: RadialProfile, key: str, plateau: int,
+             action, margin) -> ShapeParams:
+        """prof is shape assembled, with key = 0; plateau indexes the piece
+        before the descent that key shifts."""
+        a0 = action(prof)
+        pc = prof.pieces[plateau]
+        q = pc.params[0] * math.exp(pc.t0) - float(prof.anchors[plateau])
         for dl in np.linspace(0.0, 2.5, 251):
-            cand = ShapeParams(**{**asdict(shape), key: float(dl)})
-            prof = _assemble(core, cand)
-            if cond(prof):
+            cand = replace(shape, **{key: float(dl)})
+            v = a0 + (a0 - q) * math.expm1(dl)    # exactly a0 at dl = 0
+            m = margin(v)
+            if abs(m - _TUNE_MARGIN) <= _TUNE_EXACT * max(1.0, abs(v)):
+                m = margin(action(_assemble(core, cand)))
+            if m >= _TUNE_MARGIN:
                 return cand
         raise BuildError(f"could not tune {key} clear of the forbidden set")
 
-    shape = tune(shape, "dl1",
-                 lambda p: ok(p.shape.C * R0 - float(p.h(p.shape.C))))
-    shape = tune(shape, "dl2",
-                 lambda p: ok(p.shape.D - float(p.h(p.shape.D))))
-    shape = tune(shape, "dl3",
-                 lambda p: ok(p.shape.h_inf) and ok(-p.shape.h_inf))
-    return shape
+    shape = tune(shape, prof, "dl1", 4,
+                 lambda p: p.shape.C * R0 - float(p.h(p.shape.C)), distance)
+    shape = tune(shape, _assemble(core, shape), "dl2", 6,
+                 lambda p: p.shape.D - float(p.h(p.shape.D)), distance)
+    return tune(shape, _assemble(core, shape), "dl3", 8,
+                lambda p: -p.shape.h_inf,
+                lambda v: min(distance(v), distance(-v)))
 
 
 def build_profile(core: CoreParams, shape: Optional[ShapeParams] = None) -> RadialProfile:
@@ -682,6 +732,9 @@ class MonotoneHomotopy:
 
     @staticmethod
     def beta(s):
+        if isinstance(s, (float, int)):
+            # np.clip on Python floats; min/max keep a NaN first argument
+            return 1.0 - _smoothstep(min(max(float(s) + 1.0, 0.0), 1.0))
         s = np.asarray(s, dtype=float)
         u = np.clip(s + 1.0, 0.0, 1.0)
         return 1.0 - _smoothstep(u)

@@ -297,20 +297,26 @@ class TestInvalidInput:
                                     "kind": kind, "params": params}))
         return str(path)
 
+    @staticmethod
+    def cli_subprocess(*argv):
+        """Run the CLI in a subprocess with a timeout, for inputs that once
+        made it spin forever, so that a regression fails instead of hanging."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run([sys.executable, "-m", "reebpinch.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+
     @pytest.mark.parametrize("kind, params", [
         ("sphere", {"R": math.nan}),
         ("ellipsoid", {"radii": [math.nan, 1.2]})])
     def test_nan_size_exits_one_in_subprocess(self, tmp_path, kind, params):
-        # a NaN radius once made the orbit search spin forever: run it in a
-        # subprocess with a timeout so that a regression fails, not hangs
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "reebpinch.cli", "surface-orbits",
-             "--surface", self.surface_file(tmp_path, kind, params),
-             "--seeds", "2", "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=60)
+        # a NaN radius once made the orbit search spin forever
+        proc = self.cli_subprocess(
+            "surface-orbits",
+            "--surface", self.surface_file(tmp_path, kind, params),
+            "--seeds", "2", "--out", str(tmp_path))
         assert proc.returncode == 1
         assert "malformed surface file" in proc.stderr
         assert "must be finite and > 0" in proc.stderr
@@ -356,6 +362,34 @@ class TestInvalidInput:
                            "--out", str(tmp_path))
         assert code == 1
         assert "action window must satisfy lo > 0" in err
+
+    def test_infinite_window_end_exits_one_in_subprocess(self, tmp_path):
+        # the coarse scan once integrated out to T = inf and never returned
+        path = self.surface_file(tmp_path, "ellipsoid", {"radii": [1.0, 1.2]})
+        proc = self.cli_subprocess(
+            "surface-orbits", "--surface", path, "--seeds", "4",
+            "--window", "2.8,inf", "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert "action window end must be finite" in proc.stderr
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_search_tol_exits_one(self, tmp_path, capsys, tol):
+        path = self.surface_file(tmp_path, "ellipsoid", {"radii": [1.0, 1.2]})
+        code, _, err = run(capsys, "surface-orbits", "--surface", path,
+                           "--seeds", "4", "--tol", tol,
+                           "--out", str(tmp_path))
+        assert code == 1
+        assert f"closure_tol must be finite, got {tol}" in err
+        assert not list(tmp_path.glob("*_surface-orbits.json"))
+
+    @pytest.mark.parametrize("tol", ["0", "nan", "inf"])
+    def test_bad_ode_tol_exits_one(self, tmp_path, capsys, tol):
+        code, _, err = run(capsys, "ode-connect", "--tol", tol,
+                           "--out", str(tmp_path))
+        assert code == 1
+        assert "tol must be finite and >= 2.220446049250313e-14" in err
+        assert f"got {float(tol)!r}" in err
+        assert not list(tmp_path.glob("*_ode-connect.json"))
 
 
 class TestReportRoundTrip:

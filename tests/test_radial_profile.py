@@ -2,16 +2,22 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.stats import qmc
 
+from reebpinch import radial_profile
 from reebpinch.radial_profile import (
+    _TUNE_MARGIN,
     BuildError,
     CoreParams,
     MonotoneHomotopy,
+    ShapeParams,
+    _assemble,
+    default_shape,
     action_at,
     build_profile,
     forbidden_distance,
@@ -138,18 +144,59 @@ def reference_eval(p, r):
     return h, dh, d2h
 
 
-def _built_triples():
+def reference_default_shape(core):
+    """default_shape as a linear scan: every candidate dl assembled."""
+    R0 = core.R0
+    eps = min(0.1, 0.5 * (2.0 - R0))
+    delta = core.B * math.expm1(0.5 * eps / core.c)
+    delta_bar = core.A / 10.0
+
+    def ok(v):
+        return forbidden_distance(core, v) >= _TUNE_MARGIN
+
+    for _ in range(40):
+        shape = ShapeParams(eps=eps, delta=delta, delta_bar=delta_bar)
+        if ok(-_assemble(core, shape).shape.h0):
+            break
+        delta_bar *= 0.5
+    else:
+        raise BuildError("-h(0) not in [A, A+c(B-A)) + Z cannot be met")
+
+    def tune(shape, key, cond):
+        for dl in np.linspace(0.0, 2.5, 251):
+            cand = ShapeParams(**{**asdict(shape), key: float(dl)})
+            if cond(_assemble(core, cand)):
+                return cand
+        raise BuildError(f"could not tune {key} clear of the forbidden set")
+
+    shape = tune(shape, "dl1",
+                 lambda p: ok(p.shape.C * R0 - float(p.h(p.shape.C))))
+    shape = tune(shape, "dl2",
+                 lambda p: ok(p.shape.D - float(p.h(p.shape.D))))
+    return tune(shape, "dl3",
+                lambda p: ok(p.shape.h_inf) and ok(-p.shape.h_inf))
+
+
+def _admissible_triples():
     """The base triple and every admissible point of a 256-point Sobol net
-    over 1 < R0 < 2, 0 < A < 1, 0 < c < 1 whose profile builds."""
+    over 1 < R0 < 2, 0 < A < 1, 0 < c < 1."""
     box = qmc.Sobol(d=3, scramble=True, seed=1).random(256)
-    out = [build_profile(BASE)]
+    out = [BASE]
     for u in box:
         R0, A, c = 1.0 + float(u[0]), float(u[1]), float(u[2])
         if validate_core(R0, A, c).passed:
-            try:
-                out.append(build_profile(CoreParams(R0, A, c)))
-            except BuildError:
-                pass
+            out.append(CoreParams(R0, A, c))
+    return out
+
+
+def _built_triples():
+    """The profiles of _admissible_triples that build."""
+    out = []
+    for core in _admissible_triples():
+        try:
+            out.append(build_profile(core))
+        except BuildError:
+            pass
     return out
 
 
@@ -297,6 +344,81 @@ class TestSlopeTable:
             rs = resc.grid(500)
             assert np.allclose(resc.rd2h(rs), rs * resc.d2h(rs), rtol=1e-13,
                                atol=1e-15)
+
+
+class TestTuning:
+    """default_shape's closed-form plateau tuning against the linear scan."""
+
+    @staticmethod
+    def outcome(shape_fn, core):
+        try:
+            return shape_fn(core)
+        except BuildError as exc:
+            return str(exc)
+
+    def test_matches_linear_scan(self):
+        outcomes = [(self.outcome(default_shape, core),
+                     self.outcome(reference_default_shape, core))
+                     for core in _admissible_triples()]
+        for got, want in outcomes:
+            assert got == want
+        # the net exercises both the successes and every failure message
+        messages = {o for o, _ in outcomes if isinstance(o, str)}
+        assert sum(isinstance(o, ShapeParams) for o, _ in outcomes) >= 56
+        assert {"could not tune dl1 clear of the forbidden set",
+                "could not tune dl3 clear of the forbidden set"} <= messages
+
+    def test_base_build_assembles_at_most_five_times(self, monkeypatch):
+        calls = []
+
+        def counting(core, shape):
+            calls.append(shape)
+            return _assemble(core, shape)
+
+        monkeypatch.setattr(radial_profile, "_assemble", counting)
+        build_profile(BASE)
+        assert 0 < len(calls) <= 5
+
+
+class TestScalarPath:
+    """A scalar r takes the Python-float path; it must agree bit for bit
+    with the array path."""
+
+    def test_bitwise_equal_to_array_path(self, built):
+        for base in built:
+            for p in (base, rescaled(base)):
+                r = np.concatenate([p.grid(2000),
+                                    np.exp(p.boundaries) * p.scale])
+                for name in ("dh", "d2h", "rd2h"):
+                    f = getattr(p, name)
+                    scalar = np.array([f(float(x)) for x in r])
+                    assert np.array_equal(scalar.view(np.int64),
+                                          f(r).view(np.int64)), (p.core, name)
+
+    def test_homotopy_dr_scalar_equals_array(self, profile):
+        H = MonotoneHomotopy(profile)
+        s = np.linspace(-1.5, 0.5, 401)
+        r = np.geomspace(0.05, 3.0, 401)
+        scalar = np.array([H.dr(float(a), float(b)) for a, b in zip(s, r)])
+        assert np.array_equal(scalar, H.dr(s, r))
+        assert np.array_equal([H.beta(float(a)) for a in s], H.beta(s))
+
+    @pytest.mark.parametrize("r", [0.0, -0.5])
+    def test_nonpositive_r_raises_like_array(self, profile, r):
+        for name in ("dh", "d2h", "rd2h"):
+            f = getattr(profile, name)
+            with pytest.raises(ValueError, match="requires r > 0") as scalar:
+                f(r)
+            with pytest.raises(ValueError) as array:
+                f(np.array([r]))
+            assert str(scalar.value) == str(array.value)
+
+    def test_nan_gives_nan(self, profile):
+        for name in ("dh", "d2h", "rd2h"):
+            assert math.isnan(getattr(profile, name)(math.nan))
+        H = MonotoneHomotopy(profile)
+        assert math.isnan(H.dr(math.nan, 0.5))
+        assert math.isnan(H.dr(-0.5, math.nan))
 
 
 class TestRescaled:
