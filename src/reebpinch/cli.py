@@ -432,6 +432,28 @@ def cmd_verify_ellipsoid(args, cfg, t0) -> int:
     return _exit_code(rep.passed and matched)
 
 
+def _report_problem(doc):
+    """What makes ``doc`` unreadable as a report, or None: the top level is
+    an object, ``orbits`` a list of objects with a finite numeric
+    ``action``, and ``window`` two numbers."""
+    if not isinstance(doc, dict):
+        return "the top level must be a JSON object"
+    orbits = doc.get("orbits", [])
+    if not isinstance(orbits, list):
+        return "orbits must be a list of objects"
+    for k, orbit in enumerate(orbits):
+        if not (isinstance(orbit, dict) and _number(orbit.get("action"))
+                and math.isfinite(orbit["action"])):
+            return (f"orbits[{k}] must be an object with a finite numeric "
+                    "action")
+    if "window" in doc:
+        window = doc["window"]
+        if not (isinstance(window, list) and len(window) == 2
+                and all(map(_number, window))):
+            return "window must be a list of 2 numbers"
+    return None
+
+
 def cmd_report(args, cfg, t0) -> int:
     _require(cfg, "input", "report")
     try:
@@ -442,6 +464,9 @@ def cmd_report(args, cfg, t0) -> int:
     except json.JSONDecodeError as exc:
         raise SystemExit(f"malformed report {cfg['input']}: line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}")
+    problem = _report_problem(doc)
+    if problem:
+        raise SystemExit(f"malformed report {cfg['input']}: {problem}")
     summary = {"command": "report", "source": cfg["input"]}
     if "orbits" in doc:
         actions = sorted(o["action"] for o in doc["orbits"])

@@ -50,6 +50,13 @@ _LM_ITERS = 16         # polish-stage LM budget; the cheaper wide stage gets 3x
 _PERIOD_SLACK = 1e-8   # T >= pi R1^2 up to the period accuracy of the search
 
 
+def _require_count(name: str, value, least: int) -> None:
+    """An integer (not a bool) that is at least ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     seeds: int = 64
@@ -72,6 +79,8 @@ class SearchConfig:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, "
                                  f"got {getattr(self, name)}")
+        _require_count("seeds", self.seeds, 1)
+        _require_count("rng_seed", self.rng_seed, 0)
 
 
 @dataclass
@@ -346,22 +355,32 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
     The damping interpolates between gradient descent (robust far from an
     orbit) and Gauss-Newton (quadratic near one); the time-shift direction is
     controlled through a phase-fix row tied to the current Reeb direction.
-    A generator: it yields flow requests and receives their results.
+    A generator: each yield is a list of flow requests, answered by the
+    list of their results in order.  A point (y, T) is always requested
+    together with the finite-difference (FD) block at it, so that an
+    accepted trial already holds the flows for the next Jacobian and an LM
+    iteration costs one flow round.  A rejected trial, or the last point of
+    the stage, discards its FD result.
     """
     dim = surface.space.dim
     lo, hi = cfg.action_window
     T_lo, T_hi = 0.25 * lo, hi + 0.5 * (hi - lo) + 1.0
     eye = np.eye(dim)
 
-    F = (yield (y, T, tol, None)) - y
-    best = float(np.linalg.norm(F))
+    def at(y, T):
+        """The residual request at (y, T) and the FD request beside it; all
+        FD states share one request, which starts with y itself."""
+        fd_states = [surface.project(y + fd * e) for e in eye]
+        return fd_states, [(y, T, tol, None),
+                           (np.vstack([y] + fd_states), T, tol, None)]
+
+    fd_states, requests = at(y, T)
+    phi, out = yield requests
+    best = float(np.linalg.norm(phi - y))
     lam = 1e-3
     for _ in range(iters):
         if best < target:
             break
-        # all FD states of this candidate share one request
-        fd_states = [surface.project(y + fd * e) for e in eye]
-        out = yield (np.vstack([y] + fd_states), T, tol, None)
         phi = out[0]
         R_here = surface.reeb(y)
         Jac = np.zeros((dim + 1, dim + 1))
@@ -384,9 +403,11 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
                 continue
             y_try = surface.project(y + step[:dim])
             T_try = float(np.clip(T + step[dim], T_lo, T_hi))
-            F_try = (yield (y_try, T_try, tol, None)) - y_try
+            fd_try, requests = at(y_try, T_try)
+            phi_try, out_try = yield requests
+            F_try = phi_try - y_try
             if np.linalg.norm(F_try) < best:
-                y, T = y_try, T_try
+                y, T, fd_states, out = y_try, T_try, fd_try, out_try
                 best = float(np.linalg.norm(F_try))
                 lam = max(lam / 3.0, 1e-12)
                 improved = True
@@ -398,7 +419,7 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
 
 
 def _candidate(surface, x0, T0, cfg):
-    """One candidate's search as a generator of flow requests.
+    """One candidate's search as a generator of lists of flow requests.
 
     Two-stage refinement (a cheap wide-basin descent, then a high-accuracy
     polish that drives the closure residual to the integration floor), then
@@ -419,7 +440,7 @@ def _candidate(surface, x0, T0, cfg):
     if not lo - tol_pad <= T <= hi + tol_pad:
         return True, None
     ts = np.linspace(0.0, T, _ORBIT_SAMPLES)
-    pts = surface.project((yield (y, T, _FLOW_TOL, ts)))
+    pts = surface.project((yield [(y, T, _FLOW_TOL, ts)])[0])
     # action = int alpha(xdot) dt, re-evaluated by quadrature (= T for Reeb flow)
     R = surface.reeb(pts)
     av = surface.space.alpha(pts, R)
@@ -429,8 +450,13 @@ def _candidate(surface, x0, T0, cfg):
 
 
 def _lockstep(surface, candidates) -> list:
-    """Run candidate generators to completion, one flow batch per round
-    carrying the pending request of every live candidate."""
+    """Run candidate generators to completion, one flow batch per round.
+
+    Each live candidate yields a list of requests; a round flattens every
+    list into one ``flow`` call and sends each candidate its results, in
+    order.  A request's result does not depend on the batch, so the order of
+    the candidates in a round does not matter.
+    """
     results = [None] * len(candidates)
     pending = {}
 
@@ -445,8 +471,12 @@ def _lockstep(surface, candidates) -> list:
         advance(i, None)
     while pending:
         ids = list(pending)
-        for i, out in zip(ids, flow(surface, [pending[i] for i in ids])):
-            advance(i, out)
+        out = flow(surface, [r for i in ids for r in pending[i]])
+        start = 0
+        for i in ids:
+            n = len(pending[i])
+            advance(i, out[start:start + n])
+            start += n
     return results
 
 
@@ -572,6 +602,8 @@ def verify_pinching_theorem(surface: StarshapedSurface,
     landing on one action level with non-matching point sets - are labelled
     a degenerate family instead of inflating the count.
     """
+    _require_count("seeds", seeds, 1)
+    _require_count("rng_seed", rng_seed, 0)
     n = surface.space.n
     R1, R2, ratio_ok = pinch_radii(surface)
     ratio = R2 / R1

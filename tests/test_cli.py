@@ -372,15 +372,37 @@ class TestInvalidInput:
         assert proc.returncode == 1
         assert "action window end must be finite" in proc.stderr
 
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_non_finite_search_tol_exits_one(self, tmp_path, capsys, tol):
-        path = self.surface_file(tmp_path, "ellipsoid", {"radii": [1.0, 1.2]})
-        code, _, err = run(capsys, "surface-orbits", "--surface", path,
-                           "--seeds", "4", "--tol", tol,
+    @pytest.mark.parametrize("command, flag, value, message", [
+        pytest.param("surface-orbits", "--tol", "nan",
+                     "closure_tol must be finite, got nan", id="nan"),
+        pytest.param("surface-orbits", "--tol", "inf",
+                     "closure_tol must be finite, got inf", id="inf"),
+        pytest.param("surface-orbits", "--seeds", "-1",
+                     "seeds must be an integer >= 1, got -1",
+                     id="orbits-seeds-negative"),
+        pytest.param("surface-orbits", "--rng-seed", "-1",
+                     "rng_seed must be an integer >= 0, got -1",
+                     id="orbits-rng-seed-negative"),
+        pytest.param("verify-ellipsoid", "--seeds", "-3",
+                     "seeds must be an integer >= 1, got -3",
+                     id="ellipsoid-seeds-negative"),
+        pytest.param("verify-ellipsoid", "--seeds", "0",
+                     "seeds must be an integer >= 1, got 0",
+                     id="ellipsoid-seeds-zero"),
+        pytest.param("verify-pinch", "--rng-seed", "-1",
+                     "rng_seed must be an integer >= 0, got -1",
+                     id="pinch-rng-seed-negative")])
+    def test_bad_search_value_exits_one(self, tmp_path, capsys, command, flag,
+                                        value, message):
+        where = (["--radii", "1.0,1.2"] if command == "verify-ellipsoid" else
+                 ["--surface", self.surface_file(tmp_path, "ellipsoid",
+                                                 {"radii": [1.0, 1.2]})])
+        seeds = [] if flag == "--seeds" else ["--seeds", "4"]
+        code, _, err = run(capsys, command, *where, *seeds, flag, value,
                            "--out", str(tmp_path))
         assert code == 1
-        assert f"closure_tol must be finite, got {tol}" in err
-        assert not list(tmp_path.glob("*_surface-orbits.json"))
+        assert message in err
+        assert not list(tmp_path.glob(f"*_{command}.json"))
 
     @pytest.mark.parametrize("tol", ["0", "nan", "inf"])
     def test_bad_ode_tol_exits_one(self, tmp_path, capsys, tol):
@@ -412,6 +434,28 @@ class TestReportRoundTrip:
                            "--out", str(tmp_path))
         assert code == 1
         assert "malformed report" in err
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"orbits": 5}, "orbits must be a list of objects"),
+        ({"orbits": [], "window": 3}, "window must be a list of 2 numbers"),
+        ([], "the top level must be a JSON object"),
+        ({"orbits": [{"period": 1.0}]}, "orbits[0] must be an object"),
+        ({"orbits": [{"action": 1.0}, {"action": math.nan}]},
+         "orbits[1] must be an object with a finite numeric action"),
+        ({"orbits": [], "window": [1.0, True]},
+         "window must be a list of 2 numbers")],
+        ids=["orbits-number", "window-number", "top-level-list",
+             "orbit-without-action", "nan-action", "boolean-window-end"])
+    def test_malformed_report_shape_exits_one(self, tmp_path, capsys, doc,
+                                              field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "report", "--input", str(bad),
+                             "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith(f"malformed report {bad}: {field}")
+        assert out == ""
+        assert not list(tmp_path.glob("*_report.json"))
 
 
 class TestSerialization:

@@ -73,6 +73,117 @@ def circle_orbit(radius, plane, period, n=256):
     return cd.ReebOrbit(pts, period, period, 1e-12)
 
 
+def reference_lm_stage(surface, y, T, cfg, tol, fd, iters, target):
+    """The two-round LM stage: one request per yield, and the FD block at an
+    accepted point requested in the round after its trial."""
+    dim = surface.space.dim
+    lo, hi = cfg.action_window
+    T_lo, T_hi = 0.25 * lo, hi + 0.5 * (hi - lo) + 1.0
+    eye = np.eye(dim)
+
+    F = (yield (y, T, tol, None)) - y
+    best = float(np.linalg.norm(F))
+    lam = 1e-3
+    for _ in range(iters):
+        if best < target:
+            break
+        fd_states = [surface.project(y + fd * e) for e in eye]
+        out = yield (np.vstack([y] + fd_states), T, tol, None)
+        phi = out[0]
+        R_here = surface.reeb(y)
+        Jac = np.zeros((dim + 1, dim + 1))
+        for j in range(dim):
+            dy = fd_states[j] - y
+            Jac[:dim, j] = (out[j + 1] - phi) / fd - dy / fd
+            Jac[dim, j] = dy @ R_here / fd
+        Jac[:dim, dim] = surface.reeb(phi)
+        F = np.append(phi - y, 0.0)
+        JtJ = Jac.T @ Jac
+        JtF = Jac.T @ F
+        scale = np.trace(JtJ) / (dim + 1)
+        improved = False
+        for _ in range(8):
+            try:
+                step = np.linalg.solve(JtJ + lam * scale * np.eye(dim + 1),
+                                       -JtF)
+            except np.linalg.LinAlgError:
+                lam *= 5.0
+                continue
+            y_try = surface.project(y + step[:dim])
+            T_try = float(np.clip(T + step[dim], T_lo, T_hi))
+            F_try = (yield (y_try, T_try, tol, None)) - y_try
+            if np.linalg.norm(F_try) < best:
+                y, T = y_try, T_try
+                best = float(np.linalg.norm(F_try))
+                lam = max(lam / 3.0, 1e-12)
+                improved = True
+                break
+            lam *= 5.0
+        if not improved:
+            break
+    return y, T, best
+
+
+def one_request_per_round(stage):
+    """Run a stage that yields single requests under the protocol of lists
+    of requests, one request per flow round."""
+    def run(*args, **kwargs):
+        gen = stage(*args, **kwargs)
+        request = next(gen)
+        while True:
+            (out,) = yield [request]
+            try:
+                request = gen.send(out)
+            except StopIteration as stop:
+                return stop.value
+    return run
+
+
+def corpus_surface(index):
+    """Surface ``index`` of the acceptance corpus of radial_series
+    perturbations of the unit sphere (criterion 6), drawn the same way."""
+    rng = np.random.default_rng(20260823)
+    for _ in range(index + 1):
+        terms = []
+        for _ in range(int(rng.integers(2, 5))):
+            k = int(rng.integers(2, 4))
+            idx = tuple(int(i) for i in rng.integers(0, 4, size=k))
+            terms.append(cd.SeriesTerm(idx, float(rng.uniform(-0.02, 0.02))))
+    return cd.StarshapedSurface(cd.AmbientSpace(2), np.zeros(4),
+                                "radial_series", {"R": 1.0, "terms": terms})
+
+
+def search_case(name):
+    """(surface, SearchConfig) of a search compared bit for bit: the
+    pinching windows of two ellipsoids and of the unit sphere at 8 seeds,
+    and at 2 seeds the corpus surface on which no seed converges, whose LM
+    stages reject trials."""
+    if name == "corpus-2":
+        surface = corpus_surface(2)
+        R1, R2, _ = cd.pinch_radii(surface)
+        return surface, osr.SearchConfig(
+            seeds=2, action_window=(0.9 * math.pi * R1 ** 2,
+                                    1.1 * math.pi * R2 ** 2))
+    if name == "sphere":
+        surface = cd.StarshapedSurface(cd.AmbientSpace(2), np.zeros(4),
+                                       "sphere", {"R": 1.0})
+        return surface, osr.SearchConfig(
+            seeds=8, action_window=(0.999 * math.pi, 1.001 * math.pi))
+    radii = {"E(1,1.2)": [1.0, 1.2], "E(1,1.1,1.3)": [1.0, 1.1, 1.3]}[name]
+    space = cd.AmbientSpace(len(radii))
+    surface = cd.StarshapedSurface(space, np.zeros(space.dim), "ellipsoid",
+                                   {"radii": radii})
+    return surface, osr.SearchConfig(
+        seeds=8, action_window=(math.pi * radii[0] ** 2,
+                                math.pi * radii[-1] ** 2))
+
+
+def orbit_bits(result):
+    return [(o.points.tobytes(), np.array([o.period, o.action,
+                                           o.closure_residual]).tobytes(),
+             o.multiplicity) for o in result.orbits]
+
+
 class TestFindClosedOrbits:
     def test_sphere_every_seed_converges(self, sphere_result):
         assert sphere_result.stats.converged == sphere_result.stats.seeds
@@ -105,6 +216,58 @@ class TestFindClosedOrbits:
         res = osr.find_closed_orbits(fat, cfg)
         assert len(res) == 0
         assert res.stats.seeds == 4
+
+
+    @pytest.mark.parametrize("field, value, rule", [
+        ("seeds", 0, "seeds must be an integer >= 1, got 0"),
+        ("seeds", -3, "seeds must be an integer >= 1, got -3"),
+        ("seeds", 2.5, "seeds must be an integer >= 1, got 2.5"),
+        ("seeds", True, "seeds must be an integer >= 1, got True"),
+        ("rng_seed", -1, "rng_seed must be an integer >= 0, got -1"),
+        ("rng_seed", 1.5, "rng_seed must be an integer >= 0, got 1.5")])
+    def test_seed_counts_validated(self, field, value, rule):
+        with pytest.raises(ValueError, match=rule):
+            osr.SearchConfig(**{field: value})
+
+    @pytest.mark.parametrize("seeds, rng_seed", [(-3, 1), (2, -1)])
+    def test_pinching_validates_before_not_applicable(self, space, seeds,
+                                                      rng_seed):
+        fat = cd.StarshapedSurface(space, np.zeros(4), "ellipsoid",
+                                   {"radii": [1.0, 1.5]})
+        with pytest.raises(ValueError, match="must be an integer"):
+            osr.verify_pinching_theorem(fat, seeds=seeds, rng_seed=rng_seed)
+
+
+class TestSpeculativeRounds:
+    """Each LM trial point travels with its FD block in one flow round."""
+
+    @pytest.mark.parametrize("name", ["E(1,1.2)", "E(1,1.1,1.3)", "sphere",
+                                      "corpus-2"])
+    def test_bitwise_equal_to_sequential_reference(self, monkeypatch, name):
+        surface, cfg = search_case(name)
+        fast = osr.find_closed_orbits(surface, cfg)
+        monkeypatch.setattr(osr, "_lm_stage",
+                            one_request_per_round(reference_lm_stage))
+        slow = osr.find_closed_orbits(surface, cfg)
+        assert fast.stats == slow.stats
+        assert orbit_bits(fast) == orbit_bits(slow)
+
+    def test_flow_rounds(self, monkeypatch, ellipsoid):
+        calls = []
+        flow = osr.flow
+
+        def counted(surface, requests):
+            calls.append(len(requests))
+            return flow(surface, requests)
+
+        monkeypatch.setattr(osr, "flow", counted)
+        cfg = osr.SearchConfig(seeds=4, action_window=(math.pi,
+                                                       1.44 * math.pi))
+        res = osr.find_closed_orbits(ellipsoid, cfg)
+        assert res.stats.converged == 4
+        # one coarse scan, one round per LM iteration and stage start, one
+        # sampling round; the two-round LM stage took 18 flow calls here
+        assert len(calls) == 11
 
 
 class TestDeduplicate:
