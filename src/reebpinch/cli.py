@@ -12,6 +12,7 @@ identical configs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -107,9 +108,11 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _finish(args, cfg: dict, report: dict, csvs: dict, t_start: float,
-            text: str) -> str:
+            text: str, stats=None) -> str:
     """Write report, plot CSVs and the manifest, then print the report JSON
-    (--json) or the one-line summary text; returns the config hash."""
+    (--json) or the one-line summary text; returns the config hash.  The
+    manifest also carries the flow rounds and requests of a search's
+    ``stats``."""
     tag = args.command
     h = config_hash({"command": tag, **cfg})
     os.makedirs(args.out, exist_ok=True)
@@ -120,6 +123,9 @@ def _finish(args, cfg: dict, report: dict, csvs: dict, t_start: float,
     manifest = {"tool": "reebpinch", "version": __version__,
                 "config_hash": h, "command": tag,
                 "wall_time_s": time.monotonic() - t_start}
+    if stats is not None:
+        manifest["flow_rounds"] = stats.flow_rounds
+        manifest["flow_requests"] = stats.flow_requests
     _atomic_write(os.path.join(args.out, f"{h}_manifest.json"),
                   _dumps17(manifest) + "\n")
     print(_dumps17(report) if args.json else text)
@@ -393,7 +399,7 @@ def cmd_surface_orbits(args, cfg, t0) -> int:
     }
     _finish(args, cfg, report, {"spectrum": _spectrum_csv(result)}, t0,
             f"{len(result.orbits)} orbit(s) accepted from "
-            f"{result.stats.seeds} seeds")
+            f"{result.stats.seeds} seeds", result.stats)
     return EXIT_PASS
 
 
@@ -404,7 +410,8 @@ def cmd_verify_pinch(args, cfg, t0) -> int:
     _finish(args, cfg, _spectrum_report_doc(rep, cfg, cfg["surface"]),
             {"spectrum": _spectrum_csv(rep)}, t0,
             f"pinching verification: {verdict[rep.passed]} "
-            f"({rep.distinct_count} distinct, need {rep.cuplength_bound})")
+            f"({rep.distinct_count} distinct, need {rep.cuplength_bound})",
+            rep.stats)
     return _exit_code(rep.passed)
 
 
@@ -428,7 +435,7 @@ def cmd_verify_ellipsoid(args, cfg, t0) -> int:
     report["oracle_actions"] = oracle_simple
     report["oracle_matched"] = matched
     _finish(args, cfg, report, {"spectrum": _spectrum_csv(rep)}, t0,
-            f"ellipsoid spectrum matched oracle: {matched}")
+            f"ellipsoid spectrum matched oracle: {matched}", rep.stats)
     return _exit_code(rep.passed and matched)
 
 
@@ -534,10 +541,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parsing leaves it unchanged, so every
+    later ``main`` call in the process reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; remap to the contract
         return EXIT_USAGE if exc.code not in (0, None) else 0

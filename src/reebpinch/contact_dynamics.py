@@ -19,7 +19,6 @@ f = (rho/R1)^2 with the unit conversion scale = pi*R1^2.
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -130,10 +129,12 @@ def _compile_series(dim: int, R: float, terms) -> tuple:
 
     A monomial is its sorted index tuple; the basis holds the monomials of
     the terms, of their first derivatives, and every prefix of those, in
-    degree order with () first.  Returns (blocks, C): block (lo, hi, var,
-    parent) fills basis rows lo:hi as u[var] * basis[parent], and C of
-    shape (monomials, 1 + dim) maps the basis to [rho - R, d rho/du_0, ...].
-    Repeated indices and duplicate terms are merged, and R is folded in.
+    degree order with () first.  Returns (factors, present, C): column j
+    of factors, of shape (max degree, monomials), lists the indices of
+    monomial j, padded with 0 where present (shape (max degree, monomials,
+    1)) is False; C of shape (monomials, 1 + dim) maps the basis to
+    [rho - R, d rho/du_0, ...].  Repeated indices and duplicate terms are
+    merged, and R is folded in.
     """
     merged = {}
     for term in terms:
@@ -156,14 +157,12 @@ def _compile_series(dim: int, R: float, terms) -> tuple:
     C = np.zeros((len(basis), 1 + dim))
     for mono, k, coef in rows:
         C[position[mono], k] += coef
-    blocks = []
-    lo = 1
-    for _, group in itertools.groupby(basis[1:], key=len):
-        block = list(group)
-        blocks.append((lo, lo + len(block), np.array([m[-1] for m in block]),
-                       np.array([position[m[:-1]] for m in block])))
-        lo += len(block)
-    return tuple(blocks), C
+    factors = np.zeros((len(basis[-1]), len(basis)), dtype=int)
+    present = np.zeros(factors.shape + (1,), dtype=bool)
+    for j, mono in enumerate(basis):
+        factors[:len(mono), j] = mono
+        present[:len(mono), j] = True
+    return factors, present, C
 
 
 def _require_positive(name: str, value, shape: tuple) -> None:
@@ -206,6 +205,7 @@ class StarshapedSurface:
             _require_positive("radii", radii, (self.space.n,))
             # per-real-coordinate semi-axes (each complex radius twice)
             object.__setattr__(self, "_axes", np.repeat(radii, 2))
+            object.__setattr__(self, "_axes2", self._axes ** 2)
             return
         _require_positive("R", self.params["R"], ())
         terms = self.params["terms"] if self.kind == "radial_series" else ()
@@ -220,22 +220,23 @@ class StarshapedSurface:
                 raise ValueError(f"terms[{k}] coef must be a finite number, "
                                  f"got {term.coef}")
         object.__setattr__(self, "_R", float(self.params["R"]))
-        blocks, C = _compile_series(dim, self._R, terms)
-        object.__setattr__(self, "_blocks", blocks)
+        factors, present, C = _compile_series(dim, self._R, terms)
+        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_present", present)
         object.__setattr__(self, "_C", C)
 
     def _series(self, u: np.ndarray) -> np.ndarray:
         """[rho - R, d rho/du_0, ...] of a sphere or radial series at the
-        directions u.  The contraction is an einsum, not BLAS: each row is
-        summed in the same order whatever the batch, so flow stays
-        bit-identical in any batch."""
+        directions u.  The monomial basis is one gather of the coordinates
+        by the factor table and one product over the present factors, from
+        1 and in the order of the monomial's indices, as a degree-by-degree
+        recursion takes them; the empty monomial () is 1.  The contraction
+        is an einsum, not BLAS: each row is summed in the same order
+        whatever the batch, so flow stays bit-identical in any batch."""
         lead = u.shape[:-1]
         uT = u.reshape(-1, u.shape[-1]).T
-        B = np.empty((len(self._C), uT.shape[1]))   # monomial x direction
-        B[0] = 1.0
-        for lo, hi, var, parent in self._blocks:
-            np.multiply(uT.take(var, axis=0), B.take(parent, axis=0),
-                        out=B[lo:hi])
+        B = np.multiply.reduce(uT.take(self._factors, axis=0), axis=0,
+                               where=self._present)
         return np.einsum("mn,mk->nk", B, self._C).reshape(lead + (-1,))
 
     def rho(self, u: np.ndarray) -> np.ndarray:
@@ -250,8 +251,9 @@ class StarshapedSurface:
         """Ambient gradient of the defining formula of rho at unit directions."""
         u = np.asarray(u, dtype=float)
         if self.kind == "ellipsoid":
-            q = np.sum((u / self._axes) ** 2, axis=-1)
-            return -(q[..., None] ** -1.5) * (u / self._axes ** 2)
+            v = u / self._axes
+            q = np.add.reduce(v * v, -1)
+            return -(q[..., None] ** -1.5) * (u / self._axes2)
         return self._series(u)[..., 1:]
 
     # -- geometry helpers --------------------------------------------------
@@ -286,29 +288,35 @@ class StarshapedSurface:
         0-homogeneous extension of rho, so a positive multiple of the unit
         exterior normal."""
         w = np.asarray(x, dtype=float) - self.center
-        nr = np.linalg.norm(w, axis=-1)
+        nr = np.sqrt(np.add.reduce(w * w, -1))
         u = w / nr[..., None]
         g = self.rho_grad(u)
-        return (nr + np.sum(g * u, axis=-1))[..., None] * u - g
+        return (nr + np.add.reduce(g * u, -1))[..., None] * u - g
 
     def normals(self, x: np.ndarray) -> np.ndarray:
         """Unit exterior normals at on-surface points (no residual check)."""
         nu = self._normal_dir(x)
-        return nu / np.linalg.norm(nu, axis=-1, keepdims=True)
+        return nu / np.sqrt(np.add.reduce(nu * nu, -1, keepdims=True))
 
     def reeb(self, x: np.ndarray) -> np.ndarray:
         """Batched Reeb field (2/<nu, x>) J nu at on-surface points (no
         residual check); raises HypothesisError where <nu, x> <= 0.  The
         field is invariant under positive rescaling of nu, so it is taken
-        from the unnormalized normal direction."""
+        from the unnormalized normal direction, and J is folded into the
+        scaling s = 2/<nu, x>: slot 2j takes -s nu_{2j+1}, slot 2j+1 takes
+        s nu_{2j}."""
         x = np.asarray(x, dtype=float)
         nu = self._normal_dir(x)
-        denom = np.sum(nu * x, axis=-1)
-        if denom.min() <= 0.0:
+        denom = np.add.reduce(nu * x, -1)
+        if np.minimum.reduce(denom, axis=None) <= 0.0:
             unit = denom / np.linalg.norm(nu, axis=-1)
             raise HypothesisError(f"<nu, x> = {float(unit.min()):.3e} <= 0: "
                                   "not starshaped about the origin")
-        return (2.0 / denom)[..., None] * self.space.J(nu)
+        s = (2.0 / denom)[..., None]
+        out = np.empty_like(nu)
+        np.multiply(-s, nu[..., 1::2], out=out[..., 0::2])
+        np.multiply(s, nu[..., 0::2], out=out[..., 1::2])
+        return out
 
 
 def normal_at(surface: StarshapedSurface, x: np.ndarray) -> np.ndarray:

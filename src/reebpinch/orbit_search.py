@@ -88,6 +88,10 @@ class SearchStats:
     seeds: int = 0
     converged: int = 0      # seeds with at least one converged candidate
     accepted: int = 0       # orbits accepted before dedupe; can exceed seeds
+    # flow calls and requests, the coarse scan's included: run counters for
+    # the manifest, outside the report and outside equality
+    flow_rounds: int = field(default=0, compare=False)
+    flow_requests: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -120,12 +124,23 @@ _E5 = dop853_coefficients.E5
 _D = dop853_coefficients.D
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0         # -1 / (error estimator order + 1)
+# tableau rows as columns over (stage, row, coordinate); stages 13-15 are
+# the interpolant's extra stages
+_A_COLS = [_A[s, :s, None, None] for s in range(len(_C))]
+_B_COL, _E3_COL, _E5_COL = (c[:, None, None] for c in (_B, _E3, _E5))
+_D_COLS = _D[:, :, None, None]
 
 
-def _combine(coef: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """sum_s coef[s] K[s], accumulated stage by stage for every element, so a
+def _combine(col: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """sum_s col[s] K[s], accumulated stage by stage for every element, so a
     row's value does not depend on the other rows in K."""
-    return (coef[:, None, None] * K[:len(coef)]).sum(axis=0)
+    return np.add.reduce(col * K[:len(col)], axis=0)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices start, ..., start + count - 1 of every pair, in order."""
+    return np.arange(counts.sum()) + np.repeat(
+        starts - (np.cumsum(counts) - counts), counts)
 
 
 class _Batch:
@@ -137,13 +152,13 @@ class _Batch:
     result does not depend on what else is in the batch.
     """
 
-    def __init__(self, surface, ids, y, T, tol, rows, plans):
+    def __init__(self, surface, ids, y, T, tol, rows, dense):
         self.ids = np.asarray(ids)                # index into the call's list
         self.y = y                                # (N, d) current states
         self.T = np.asarray(T, dtype=float)
         self.tol = np.asarray(tol, dtype=float)
         self.rows = np.asarray(rows)
-        self.plans = plans
+        self.dense = np.asarray(dense)            # the request has times
         self.t = np.zeros(len(self.ids))
         self.rejected = np.zeros(len(self.ids), dtype=bool)
         self._index()
@@ -163,7 +178,8 @@ class _Batch:
 
     def mean_sq(self, x):
         """Mean square over each request's elements of x."""
-        return np.add.reduceat(np.sum(x * x, axis=-1), self.starts) / self.size
+        return (np.add.reduceat(np.add.reduce(x * x, -1), self.starts)
+                / self.size)
 
     def scale(self, y):
         tol = self.per_row(self.tol)
@@ -189,58 +205,66 @@ class _Batch:
     def keep(self, live):
         """Drop the finished requests and their rows."""
         rows = live[self.owner]
-        for name in ("ids", "T", "tol", "rows", "t", "h_abs", "rejected"):
+        for name in ("ids", "T", "tol", "rows", "dense", "t", "h_abs",
+                     "rejected"):
             setattr(self, name, getattr(self, name)[live])
         self.y, self.f = self.y[rows], self.f[rows]
-        self.plans = [p for p, ok in zip(self.plans, live) if ok]
         self._index()
 
 
-class _OutputPlan:
-    """A request's output times, the order they fall due, and their array."""
+def _dense_output(surface, times: dict, kept: list) -> dict:
+    """Dense output at every request's output times, from DOP853's
+    interpolant (scipy's Dop853DenseOutput) on the accepted steps kept for
+    it.  ``times`` maps a request to its times; ``kept`` holds, for each
+    step of the loop, the accepted steps of those requests: (ids, t_old,
+    t_new, h, rows) per request and y_old, y_new, K[0..12] per row.
 
-    def __init__(self, times, shape):
-        self.times = np.asarray(times, dtype=float)
-        self.shape = shape
-        self.out = np.empty((len(self.times),) + shape)
-        self.order = np.argsort(self.times, kind="stable")
-        self.keys = self.times[self.order]
-        self.done = 0
+    A time goes to the first step ending at or after it, so the first step
+    also takes times before 0 and the last one those past T, as scipy's
+    OdeSolution does.  The three extra stages run in three ``surface.reeb``
+    calls on the rows of every step that serves a time, then one Horner
+    pass evaluates every (time, row).  Returns request -> array with a
+    leading time axis and one row per state, in the order of its times.
+    """
+    fields = list(zip(*kept))
+    ids, t_old, t_new, h, rows = (np.concatenate(f) for f in fields[:5])
+    y_old, y_new = np.vstack(fields[5]), np.vstack(fields[6])
+    K_kept = np.concatenate(fields[7], axis=1)
+    step, sizes = [], []
+    for i, ts in times.items():
+        mine = np.flatnonzero(ids == i)          # its steps, in time order
+        k = np.searchsorted(t_new[mine], ts, "left")
+        step.append(mine[np.minimum(k, len(mine) - 1)])
+        sizes.append(len(ts) * rows[mine[0]])
+    step = np.concatenate(step)                  # the step serving each time
+    if not len(step):                            # no stage to evaluate
+        return {i: np.empty(0) for i in times}
+    when = np.concatenate(list(times.values()))
+    due = np.unique(step)
+    sel = _ranges((np.cumsum(rows) - rows)[due], rows[due])
+    first = np.zeros(len(ids), dtype=int)        # step's first row in sel
+    first[due] = np.cumsum(rows[due]) - rows[due]
 
-    def due(self, t_new, finished):
-        """Range (in time order) of the times the step ending at t_new
-        serves: the first step also takes times before 0, the last one
-        those past T, as scipy's OdeSolution does."""
-        end = (len(self.order) if finished else int(np.searchsorted(
-            self.keys, t_new, "right")))
-        return self.done, end
-
-
-def _dense_output(surface, batch, dense, y_new, K, h):
-    """Fill the output times that the accepted steps (from batch.t, batch.y)
-    of the requests in ``dense`` cover, from DOP853's interpolant (scipy's
-    Dop853DenseOutput).  Its three extra stages run on these rows only."""
-    sel = np.r_[tuple(batch.rows_of(j) for j, _, _ in dense)]
-    Kd = K[:, sel]
-    y_old = batch.y[sel]
-    hr = h[batch.owner[sel]][:, None]
+    K = np.empty((len(_C), len(sel), y_old.shape[1]))
+    K[:_N_STAGES + 1] = K_kept[:, sel]
+    y0 = y_old[sel]
+    hr = np.repeat(h[due], rows[due])[:, None]
     for s in range(_N_STAGES + 1, len(_C)):
-        Kd[s] = surface.reeb(y_old + _combine(_A[s, :s], Kd) * hr)
-    delta = y_new[sel] - y_old
-    F = [delta, hr * Kd[0] - delta, 2 * delta - hr * (Kd[_N_STAGES] + Kd[0])]
-    F += [hr * _combine(_D[i], Kd) for i in range(len(_D))]
-    at = 0
-    for j, lo, hi in dense:
-        plan, r = batch.plans[j], slice(at, at + batch.rows[j])
-        at += batch.rows[j]
-        idx = plan.order[lo:hi]
-        x = ((plan.times[idx] - batch.t[j]) / h[j])[:, None, None]
-        out = np.zeros((len(idx),) + y_old[r].shape)
-        for i, f in enumerate(reversed(F)):
-            out += f[r]
-            out *= x if i % 2 == 0 else 1 - x
-        plan.out[idx] = (out + y_old[r]).reshape((len(idx),) + plan.shape)
-        plan.done = hi
+        K[s] = surface.reeb(y0 + _combine(_A_COLS[s], K) * hr)
+    delta = y_new[sel] - y0
+    F = [delta, hr * K[0] - delta, 2 * delta - hr * (K[_N_STAGES] + K[0])]
+    F += [hr * _combine(col, K) for col in _D_COLS]
+
+    # every (time, row), time by time and row by row within a request
+    at = _ranges(first[step], rows[step])
+    x = np.repeat((when - t_old[step]) / h[step], rows[step])[:, None]
+    out = np.zeros((len(at), y0.shape[1]))
+    for i, f in enumerate(reversed(F)):
+        out += f[at]
+        out *= x if i % 2 == 0 else 1 - x
+    out += y0[at]
+    return {i: block for i, block in
+            zip(times, np.split(out, np.cumsum(sizes)[:-1]))}
 
 
 def flow(surface: StarshapedSurface, requests) -> List[np.ndarray]:
@@ -254,7 +278,10 @@ def flow(surface: StarshapedSurface, requests) -> List[np.ndarray]:
     time axis.  Step-size control is per request: all states of a request
     share its steps, and a lone request takes the steps that
     ``solve_ivp(method="DOP853")`` takes.  Each RK stage is one
-    ``surface.reeb`` call on the live rows of every request.
+    ``surface.reeb`` call on the live rows of every request.  The accepted
+    steps of the requests with times are kept, and their dense output is
+    evaluated after the last step: three more ``surface.reeb`` calls for
+    the interpolant's extra stages, whatever the number of steps.
 
     Raises ValueError unless every T > 0, OffSurfaceError for a start
     state off the surface, HypothesisError where <nu, x> <= 0, and
@@ -267,13 +294,15 @@ def flow(surface: StarshapedSurface, requests) -> List[np.ndarray]:
     if not all(r[1] > 0 for r in requests):
         raise ValueError("flow needs T > 0 for every request")
     surface.require_on_surface(np.vstack(stacked))
-    plans = [None if r[3] is None else _OutputPlan(r[3], s.shape)
-             for r, s in zip(requests, states)]
+    times = {i: np.asarray(r[3], dtype=float)
+             for i, r in enumerate(requests) if r[3] is not None}
     results: List[Optional[np.ndarray]] = [None] * len(requests)
     batch = _Batch(surface, range(len(requests)), np.vstack(stacked),
                    [r[1] for r in requests], [r[2] for r in requests],
-                   [len(s) for s in stacked], plans)
-    K = np.empty((len(_C),) + batch.y.shape)
+                   [len(s) for s in stacked],
+                   [r[3] is not None for r in requests])
+    kept = []                 # accepted steps of the requests with times
+    K = np.empty((_N_STAGES + 1,) + batch.y.shape)
     while len(batch.ids):
         t, y = batch.t, batch.y
         min_step = 10 * (np.nextafter(t, np.inf) - t)
@@ -292,13 +321,13 @@ def flow(surface: StarshapedSurface, requests) -> List[np.ndarray]:
         K = K[:, :len(y)]
         K[0] = batch.f
         for s in range(1, _N_STAGES):
-            K[s] = surface.reeb(y + _combine(_A[s, :s], K) * hr)
-        y_new = y + hr * _combine(_B, K)
+            K[s] = surface.reeb(y + _combine(_A_COLS[s], K) * hr)
+        y_new = y + hr * _combine(_B_COL, K)
         K[_N_STAGES] = surface.reeb(y_new)
 
         scale = batch.scale(np.maximum(np.abs(y), np.abs(y_new)))
-        e5 = batch.mean_sq(_combine(_E5, K) / scale)
-        e3 = batch.mean_sq(_combine(_E3, K) / scale)
+        e5 = batch.mean_sq(_combine(_E5_COL, K) / scale)
+        e3 = batch.mean_sq(_combine(_E3_COL, K) / scale)
         # scipy's |h| |e5|^2 / sqrt((|e5|^2 + |e3|^2 / 100) size), in means
         denom = e5 + 0.01 * e3
         zero = denom == 0.0
@@ -315,26 +344,24 @@ def flow(surface: StarshapedSurface, requests) -> List[np.ndarray]:
         batch.rejected = ~accept
         finished = accept & (t_new >= batch.T)
 
-        dense = []
-        for j in np.flatnonzero(accept):
-            plan = batch.plans[j]
-            if plan is not None:
-                lo, hi = plan.due(t_new[j], finished[j])
-                if hi > lo:
-                    dense.append((j, lo, hi))
-        if dense:
-            _dense_output(surface, batch, dense, y_new, K, h)
+        store = accept & batch.dense
+        if store.any():
+            rows = store[batch.owner]
+            kept.append((batch.ids[store], t[store], t_new[store], h[store],
+                         batch.rows[store], y[rows], y_new[rows], K[:, rows]))
 
         take = batch.per_row(accept)
         batch.y = np.where(take, y_new, y)
         batch.f = np.where(take, K[_N_STAGES], batch.f)
         batch.t = np.where(accept, t_new, t)
         if finished.any():
-            for j in np.flatnonzero(finished):
-                i, plan = batch.ids[j], batch.plans[j]
-                results[i] = (batch.y[batch.rows_of(j)].reshape(states[i].shape)
-                              if plan is None else plan.out)
+            for j in np.flatnonzero(finished & ~batch.dense):
+                i = batch.ids[j]
+                results[i] = batch.y[batch.rows_of(j)].reshape(states[i].shape)
             batch.keep(~finished)
+    if times:
+        for i, out in _dense_output(surface, times, kept).items():
+            results[i] = out.reshape((len(times[i]),) + states[i].shape)
     return results
 
 
@@ -418,21 +445,49 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
     return y, T, best
 
 
+def _with_samples(stage):
+    """Run an LM stage with a dense twin (y, T, _FLOW_TOL, linspace(0, T,
+    256)) beside each of its residual requests (y, T, tol, None), the
+    requests of a single state.  A twin is one more row in the round, and
+    it takes the residual request's steps.  Returns the stage's (y, T,
+    best) and the twin's samples at the (y, T) it returns."""
+    twins, out = [], None
+    while True:
+        try:
+            requests = stage.send(out)
+        except StopIteration as stop:
+            y, T, best = stop.value
+            break
+        extra = [(r[0], r[1], _FLOW_TOL,
+                  np.linspace(0.0, r[1], _ORBIT_SAMPLES))
+                 for r in requests if np.ndim(r[0]) == 1]
+        results = yield requests + extra
+        out = results[:len(requests)]
+        twins += [(r[0], r[1], pts)
+                  for r, pts in zip(extra, results[len(requests):])]
+    pts = next(pts for y_k, T_k, pts in reversed(twins)
+               if T_k == T and np.array_equal(y_k, y))
+    return y, T, best, pts
+
+
 def _candidate(surface, x0, T0, cfg):
     """One candidate's search as a generator of lists of flow requests.
 
     Two-stage refinement (a cheap wide-basin descent, then a high-accuracy
     polish that drives the closure residual to the integration floor), then
-    sampling of a converged orbit inside the window.  Returns
-    (converged, orbit or None).
+    sampling of a converged orbit inside the window.  The polish rounds
+    carry the samples of every point they request (``_with_samples``); a
+    candidate that converges without a polish stage (closure_tol > 1e-3)
+    spends one more round on them.  Returns (converged, orbit or None).
     """
     y, T, best = yield from _lm_stage(surface, x0.copy(), T0, cfg, tol=1e-8,
                                       fd=1e-5, iters=3 * _LM_ITERS,
                                       target=1e-6)
+    samples = None
     if best < 1e-3:
-        y, T, best = yield from _lm_stage(
+        y, T, best, samples = yield from _with_samples(_lm_stage(
             surface, y, T, cfg, tol=_FLOW_TOL, fd=1e-7, iters=_LM_ITERS,
-            target=max(1e-12, 1e-3 * cfg.closure_tol))
+            target=max(1e-12, 1e-3 * cfg.closure_tol)))
     if best >= cfg.closure_tol:
         return False, None
     lo, hi = cfg.action_window
@@ -440,7 +495,9 @@ def _candidate(surface, x0, T0, cfg):
     if not lo - tol_pad <= T <= hi + tol_pad:
         return True, None
     ts = np.linspace(0.0, T, _ORBIT_SAMPLES)
-    pts = surface.project((yield [(y, T, _FLOW_TOL, ts)])[0])
+    if samples is None:
+        samples = (yield [(y, T, _FLOW_TOL, ts)])[0]
+    pts = surface.project(samples)
     # action = int alpha(xdot) dt, re-evaluated by quadrature (= T for Reeb flow)
     R = surface.reeb(pts)
     av = surface.space.alpha(pts, R)
@@ -449,16 +506,18 @@ def _candidate(surface, x0, T0, cfg):
                            closure_residual=float(best), multiplicity=1)
 
 
-def _lockstep(surface, candidates) -> list:
+def _lockstep(surface, candidates) -> tuple:
     """Run candidate generators to completion, one flow batch per round.
 
     Each live candidate yields a list of requests; a round flattens every
     list into one ``flow`` call and sends each candidate its results, in
     order.  A request's result does not depend on the batch, so the order of
-    the candidates in a round does not matter.
+    the candidates in a round does not matter.  Returns the candidates'
+    results, the number of rounds and the number of requests.
     """
     results = [None] * len(candidates)
     pending = {}
+    rounds = sent = 0
 
     def advance(i, value):
         try:
@@ -471,13 +530,15 @@ def _lockstep(surface, candidates) -> list:
         advance(i, None)
     while pending:
         ids = list(pending)
-        out = flow(surface, [r for i in ids for r in pending[i]])
+        requests = [r for i in ids for r in pending[i]]
+        out = flow(surface, requests)
+        rounds, sent = rounds + 1, sent + len(requests)
         start = 0
         for i in ids:
             n = len(pending[i])
             advance(i, out[start:start + n])
             start += n
-    return results
+    return results, rounds, sent
 
 
 def find_closed_orbits(surface: StarshapedSurface,
@@ -499,12 +560,14 @@ def find_closed_orbits(surface: StarshapedSurface,
         for i in _local_minima(np.linalg.norm(pts - x0, axis=-1)):
             owners.append(k)
             candidates.append(_candidate(surface, x0, float(Ts[i]), cfg))
-    results = _lockstep(surface, candidates)
+    results, rounds, sent = _lockstep(surface, candidates)
 
     orbits = [orbit for _, orbit in results if orbit is not None]
     stats = SearchStats(seeds=cfg.seeds, accepted=len(orbits),
                         converged=len({k for k, (ok, _) in zip(owners, results)
-                                       if ok}))
+                                       if ok}),
+                        flow_rounds=1 + rounds,
+                        flow_requests=len(seeds) + sent)
     orbits.sort(key=lambda o: (o.action, tuple(o.points[0])))
     return SearchResult(orbits, stats)
 

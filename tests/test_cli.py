@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from reebpinch import cli, connecting_ode
+from reebpinch import cli, connecting_ode, orbit_search
 from reebpinch.contact_dynamics import AmbientSpace, StarshapedSurface, \
     surface_to_json
 
@@ -90,6 +90,25 @@ class TestProfileCheck:
 
     def test_missing_subcommand_is_usage(self, capsys):
         assert cli.main([]) == 1
+
+    def test_parser_built_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            codes = [run(capsys, "profile-check", "--R0", "1.5", "--A", "0.5",
+                         "--c", c, "--out", str(tmp_path))[0]
+                     for c in ("0.8", "0.9", "0.8")]
+        finally:
+            cli._parser.cache_clear()     # drop the counting parser
+        assert codes == [0, 2, 0]
+        assert len(built) == 1
 
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -283,6 +302,27 @@ class TestSurfaceCommands:
         assert doc["oracle_matched"] is True
         assert doc["oracle_actions"] == pytest.approx(
             [math.pi, 1.44 * math.pi])
+
+    def test_manifest_counts_flow_rounds(self, tmp_path, capsys,
+                                         monkeypatch):
+        calls = []
+        flow = orbit_search.flow
+
+        def counted(surface, requests):
+            calls.append(len(requests))
+            return flow(surface, requests)
+
+        monkeypatch.setattr(orbit_search, "flow", counted)
+        code, _, _ = run(capsys, "verify-ellipsoid", "--radii", "1.0,1.2",
+                         "--seeds", "8", "--out", str(tmp_path))
+        assert code == 0
+        manifest = json.loads(Path(report_path(tmp_path, "manifest"))
+                              .read_text())
+        assert manifest["flow_rounds"] == len(calls) > 1
+        assert manifest["flow_requests"] == sum(calls)
+        # run counters stay out of the report, which stays byte-identical
+        report = Path(report_path(tmp_path, "verify-ellipsoid")).read_text()
+        assert "flow_" not in report
 
 
 class TestInvalidInput:

@@ -1,6 +1,7 @@
 """Tests for starshaped-hypersurface geometry, Reeb fields, the Reeb flow, and
 the graph-Hamiltonian correspondence over the unit sphere."""
 
+import itertools
 import json
 import math
 import signal
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from reebpinch.radial_profile import CoreParams, build_profile, verify_profile
 from reebpinch.connecting_ode import IntegrationError
 from reebpinch import contact_dynamics as cd
+from reebpinch import orbit_search as osr
 from reebpinch.orbit_search import flow
 
 BASE = CoreParams(1.5, 0.5, 0.8)
@@ -94,6 +96,183 @@ def reference_series_normal(terms, R, x):
     u = x / nr[..., None]
     g = reference_rho_grad(terms, R, u)
     return u - (g - np.sum(g * u, axis=-1)[..., None] * u) / nr[..., None]
+
+
+def reference_series(S, u):
+    """The basis filled one degree block at a time as u[var] *
+    basis[parent], then the einsum contraction; the monomials are read
+    back off the compiled factor table."""
+    basis = [tuple(S._factors[S._present[:, j, 0], j])
+             for j in range(S._factors.shape[1])]
+    position = {m: j for j, m in enumerate(basis)}
+    uT = u.reshape(-1, u.shape[-1]).T
+    B = np.empty((len(basis), uT.shape[1]))
+    B[0] = 1.0
+    lo = 1
+    for _, group in itertools.groupby(basis[1:], key=len):
+        block = list(group)
+        var = np.array([m[-1] for m in block])
+        parent = np.array([position[m[:-1]] for m in block])
+        np.multiply(uT.take(var, axis=0), B.take(parent, axis=0),
+                    out=B[lo:lo + len(block)])
+        lo += len(block)
+    return np.einsum("mn,mk->nk", B, S._C).reshape(u.shape[:-1] + (-1,))
+
+
+def reference_rho_grad_of(S, u):
+    if S.kind == "ellipsoid":
+        q = np.sum((u / S._axes) ** 2, axis=-1)
+        return -(q[..., None] ** -1.5) * (u / S._axes ** 2)
+    return reference_series(S, u)[..., 1:]
+
+
+def reference_normal_dir(S, x):
+    """(|w| + <g, u>) u - g through the np.linalg.norm and np.sum wrappers."""
+    w = np.asarray(x, dtype=float) - S.center
+    nr = np.linalg.norm(w, axis=-1)
+    u = w / nr[..., None]
+    g = reference_rho_grad_of(S, u)
+    return (nr + np.sum(g * u, axis=-1))[..., None] * u - g
+
+
+def reference_reeb(S, x):
+    """(2/<nu, x>) J nu with J applied before the scaling."""
+    nu = reference_normal_dir(S, x)
+    denom = np.sum(nu * x, axis=-1)
+    return (2.0 / denom)[..., None] * S.space.J(nu)
+
+
+def corpus_surface0():
+    """The first surface of the acceptance corpus (criterion 6)."""
+    rng = np.random.default_rng(20260823)
+    terms = []
+    for _ in range(int(rng.integers(2, 5))):
+        k = int(rng.integers(2, 4))
+        idx = tuple(int(i) for i in rng.integers(0, 4, size=k))
+        terms.append(cd.SeriesTerm(idx, float(rng.uniform(-0.02, 0.02))))
+    return cd.StarshapedSurface(cd.AmbientSpace(2), np.zeros(4),
+                                "radial_series", {"R": 1.0, "terms": terms})
+
+
+class ReferenceOutputPlan:
+    """A request's output times, the order they fall due, and their array."""
+
+    def __init__(self, times, shape):
+        self.times = np.asarray(times, dtype=float)
+        self.shape = shape
+        self.out = np.empty((len(self.times),) + shape)
+        self.order = np.argsort(self.times, kind="stable")
+        self.keys = self.times[self.order]
+        self.done = 0
+
+    def due(self, t_new, finished):
+        """Range (in time order) of the times the step ending at t_new
+        serves: the first step also takes times before 0, the last one
+        those past T."""
+        end = (len(self.order) if finished else int(np.searchsorted(
+            self.keys, t_new, "right")))
+        return self.done, end
+
+
+def reference_combine(coef, K):
+    return (coef[:, None, None] * K[:len(coef)]).sum(axis=0)
+
+
+def reference_dense_output(surface, batch, plans, dense, y_new, K, h):
+    """Fill the output times that this accepted step covers, from its own
+    three extra stages."""
+    sel = np.r_[tuple(batch.rows_of(j) for j, _, _ in dense)]
+    Kd = K[:, sel]
+    y_old = batch.y[sel]
+    hr = h[batch.owner[sel]][:, None]
+    for s in range(osr._N_STAGES + 1, len(osr._C)):
+        Kd[s] = surface.reeb(y_old + reference_combine(osr._A[s, :s], Kd)
+                             * hr)
+    delta = y_new[sel] - y_old
+    F = [delta, hr * Kd[0] - delta,
+         2 * delta - hr * (Kd[osr._N_STAGES] + Kd[0])]
+    F += [hr * reference_combine(osr._D[i], Kd) for i in range(len(osr._D))]
+    at = 0
+    for j, lo, hi in dense:
+        plan, r = plans[j], slice(at, at + batch.rows[j])
+        at += batch.rows[j]
+        idx = plan.order[lo:hi]
+        x = ((plan.times[idx] - batch.t[j]) / h[j])[:, None, None]
+        out = np.zeros((len(idx),) + y_old[r].shape)
+        for i, f in enumerate(reversed(F)):
+            out += f[r]
+            out *= x if i % 2 == 0 else 1 - x
+        plan.out[idx] = (out + y_old[r]).reshape((len(idx),) + plan.shape)
+        plan.done = hi
+
+
+def reference_flow(surface, requests):
+    """flow with the dense output of each accepted step evaluated in that
+    step, three extra stages per step."""
+    states = [np.asarray(r[0], dtype=float) for r in requests]
+    stacked = [s.reshape(-1, s.shape[-1]) for s in states]
+    plans = [None if r[3] is None else ReferenceOutputPlan(r[3], s.shape)
+             for r, s in zip(requests, states)]
+    results = [None] * len(requests)
+    batch = osr._Batch(surface, range(len(requests)), np.vstack(stacked),
+                       [r[1] for r in requests], [r[2] for r in requests],
+                       [len(s) for s in stacked],
+                       [p is not None for p in plans])
+    K = np.empty((len(osr._C),) + batch.y.shape)
+    N = osr._N_STAGES
+    while len(batch.ids):
+        t, y = batch.t, batch.y
+        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        h_abs = np.where(~batch.rejected & (batch.h_abs < min_step),
+                         min_step, batch.h_abs)
+        t_new = np.minimum(t + h_abs, batch.T)
+        h = t_new - t
+        hr = batch.per_row(h)
+        K = K[:, :len(y)]
+        K[0] = batch.f
+        for s in range(1, N):
+            K[s] = surface.reeb(y + reference_combine(osr._A[s, :s], K) * hr)
+        y_new = y + hr * reference_combine(osr._B, K)
+        K[N] = surface.reeb(y_new)
+        scale = batch.scale(np.maximum(np.abs(y), np.abs(y_new)))
+        e5 = batch.mean_sq(reference_combine(osr._E5, K) / scale)
+        e3 = batch.mean_sq(reference_combine(osr._E3, K) / scale)
+        denom = e5 + 0.01 * e3
+        zero = denom == 0.0
+        err = np.where(zero, 0.0, h * e5 / np.sqrt(np.where(zero, 1.0, denom)))
+        accept = err < 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = osr._SAFETY * err ** osr._ERROR_EXPONENT
+        grow = np.where(err == 0.0, osr._MAX_FACTOR,
+                        np.where(ratio < osr._MAX_FACTOR, ratio,
+                                 osr._MAX_FACTOR))
+        grow = np.where(batch.rejected, np.minimum(1.0, grow), grow)
+        shrink = np.where(ratio > osr._MIN_FACTOR, ratio, osr._MIN_FACTOR)
+        batch.h_abs = h * np.where(accept, grow, shrink)
+        batch.rejected = ~accept
+        finished = accept & (t_new >= batch.T)
+
+        dense = []
+        for j in np.flatnonzero(accept):
+            if plans[j] is not None:
+                lo, hi = plans[j].due(t_new[j], finished[j])
+                if hi > lo:
+                    dense.append((j, lo, hi))
+        if dense:
+            reference_dense_output(surface, batch, plans, dense, y_new, K, h)
+
+        take = batch.per_row(accept)
+        batch.y = np.where(take, y_new, y)
+        batch.f = np.where(take, K[N], batch.f)
+        batch.t = np.where(accept, t_new, t)
+        if finished.any():
+            for j in np.flatnonzero(finished):
+                i, plan = batch.ids[j], plans[j]
+                end = batch.y[batch.rows_of(j)].reshape(states[i].shape)
+                results[i] = end if plan is None else plan.out
+            plans = [p for p, done in zip(plans, finished) if not done]
+            batch.keep(~finished)
+    return results
 
 
 class TestAmbientSpace:
@@ -279,6 +458,38 @@ class TestReebField:
             assert np.max(np.abs(surface.reeb(x) - R)) < 1e-14
             assert np.max(np.abs(surface.normals(x) - nu)) < 1e-14
 
+    @pytest.mark.parametrize("count", [1, 7, 64])
+    @pytest.mark.parametrize("name", ["sphere", "E(1,1.2)", "E(1,1.1,1.3)",
+                                      "corpus", "off-centre degree 4"])
+    def test_bitwise_equal_to_reference(self, name, count):
+        """reeb and normals give the bits of the per-degree basis, the
+        norm and sum wrappers and a separate J, in a batch and, for one
+        point, without a batch axis."""
+        if name == "corpus":
+            S = corpus_surface0()
+        elif name == "off-centre degree 4":
+            S = cd.StarshapedSurface(
+                cd.AmbientSpace(2), np.array([0.05, -0.02, 0.01, 0.0]),
+                "radial_series", {"R": 1.1, "terms": [
+                    cd.SeriesTerm((0, 1, 1, 3), 0.03),
+                    cd.SeriesTerm((2,), 0.01), cd.SeriesTerm((0, 2), -0.02)]})
+        elif name == "sphere":
+            S = cd.StarshapedSurface(cd.AmbientSpace(2), np.zeros(4),
+                                     "sphere", {"R": 1.3})
+        else:
+            radii = [1.0, 1.2] if name == "E(1,1.2)" else [1.0, 1.1, 1.3]
+            S = cd.StarshapedSurface(cd.AmbientSpace(len(radii)),
+                                     np.zeros(2 * len(radii)), "ellipsoid",
+                                     {"radii": radii})
+        x = S.point(cd.sphere_directions(S.space.dim, 64, seed=9)[:count])
+        for pts in [x] + ([x[0]] if count == 1 else []):
+            nu = reference_normal_dir(S, pts)
+            nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
+            for got, want in ((S.reeb(pts), reference_reeb(S, pts)),
+                              (S.normals(pts), nu)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
     def test_hypothesis_violation_reports_unit_normal(self, space):
         # sphere about (3, 0, 0, 0): at (2, 0, 0, 0) the unit normal is
         # (-1, 0, 0, 0) and <nu, x> = -2, whatever the normal's scale
@@ -356,6 +567,9 @@ class TestFlow:
                 (x[1:4], 4.5, 1e-12, np.linspace(0.0, 4.5, 33)),
                 (x[4:], 2.0, 1e-10, None),
                 (x[7], 1.3, 1e-12, np.array([1.3, 0.2, 0.7])),
+                # before 0, past T, unsorted and repeated; and no time
+                (x[2], 2.5, 1e-10, np.array([-0.5, 3.0, 0.1, 2.5, 0.1])),
+                (x[5:7], 1.0, 1e-9, np.array([])),
             ]
             batch = flow(surface, requests)
             for req, together in zip(requests, batch):
@@ -366,6 +580,37 @@ class TestFlow:
             reordered = flow(surface, requests[::-1])[::-1]
             assert all(np.array_equal(a, b)
                        for a, b in zip(batch, reordered))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_dense_output_bitwise_equal_to_per_step(self, ellipsoid, series,
+                                                    batched):
+        """Dense output evaluated after the last step has the bits of the
+        per-step evaluation, for times before 0, at step ends, past T,
+        unsorted, repeated and empty, alone and in a mixed batch."""
+        from scipy.integrate import solve_ivp
+        for surface in (ellipsoid, series):
+            x = surface.point(cd.sphere_directions(4, 8, seed=4))
+            # solve_ivp takes flow's steps on a lone request
+            ends = solve_ivp(lambda t, y: surface.reeb(y), (0.0, 3.0), x[0],
+                             method="DOP853", rtol=1e-10, atol=1e-10).t
+            requests = [
+                (x[0], 3.0, 1e-10, ends[::-1]),
+                (x[1:4], 4.5, 1e-12, np.linspace(-1.0, 5.0, 41)),
+                (x[4], 2.0, 1e-8, np.array([0.7, -0.2, 2.0, 0.7, 9.0, 0.0])),
+                (x[5:7], 1.0, 1e-9, np.array([])),
+                (x[7], 1.0, 1e-9, []),
+                (x[5], 2.5, 1e-10, None),
+                (x[6:], 3.5, 1e-4, np.linspace(0.0, 3.5, 7)),
+            ]
+            if batched:
+                pairs = zip(flow(surface, requests),
+                            reference_flow(surface, requests))
+            else:
+                pairs = ((flow(surface, [r])[0],
+                          reference_flow(surface, [r])[0]) for r in requests)
+            for got, want in pairs:
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     # at 1e-4 solve_ivp rejects one step, which exercises the retry path
     @pytest.mark.parametrize("tol, T", [(1e-8, 3.0), (1e-12, 4.5),
@@ -392,8 +637,10 @@ class TestFlow:
         dense = flow(ellipsoid, [(x, T, tol, mid)])[0]
         monkeypatch.undo()
         # one output time inside each solve_ivp step: the same steps make
-        # both integrators evaluate the same stages, dense ones included
-        assert calls[0] == sol.nfev
+        # both integrators evaluate the same stages.  solve_ivp evaluates
+        # the interpolant's 3 extra stages step by step, flow once for all
+        # steps after the last one
+        assert calls[0] == sol.nfev - 3 * (len(sol.t) - 1) + 3
         assert np.max(np.abs(dense.reshape(len(mid), -1)
                              - sol.sol(mid).T)) < 1e-12
         end, at_steps = flow(ellipsoid, [(x, T, tol, None),

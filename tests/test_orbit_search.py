@@ -139,6 +139,13 @@ def one_request_per_round(stage):
     return run
 
 
+def separate_sampling(stage):
+    """Run an LM stage with no dense twins; the candidate then samples its
+    orbit in a round of its own."""
+    y, T, best = yield from stage
+    return y, T, best, None
+
+
 def corpus_surface(index):
     """Surface ``index`` of the acceptance corpus of radial_series
     perturbations of the unit sphere (criterion 6), drawn the same way."""
@@ -246,8 +253,10 @@ class TestSpeculativeRounds:
     def test_bitwise_equal_to_sequential_reference(self, monkeypatch, name):
         surface, cfg = search_case(name)
         fast = osr.find_closed_orbits(surface, cfg)
+        # the two-round LM stage and a sampling round after the polish
         monkeypatch.setattr(osr, "_lm_stage",
                             one_request_per_round(reference_lm_stage))
+        monkeypatch.setattr(osr, "_with_samples", separate_sampling)
         slow = osr.find_closed_orbits(surface, cfg)
         assert fast.stats == slow.stats
         assert orbit_bits(fast) == orbit_bits(slow)
@@ -265,9 +274,50 @@ class TestSpeculativeRounds:
                                                        1.44 * math.pi))
         res = osr.find_closed_orbits(ellipsoid, cfg)
         assert res.stats.converged == 4
-        # one coarse scan, one round per LM iteration and stage start, one
-        # sampling round; the two-round LM stage took 18 flow calls here
-        assert len(calls) == 11
+        # one coarse scan and one round per LM iteration and stage start;
+        # the polish rounds carry the orbit samples.  The two-round LM
+        # stage took 18 flow calls here, and a sampling round of its own
+        # after the polish made 11
+        assert len(calls) == 10
+        assert (res.stats.flow_rounds, res.stats.flow_requests) == (
+            len(calls), sum(calls))
+
+    def test_polish_samples_equal_lone_flow(self, ellipsoid):
+        # a point near the e1 circle, so the stage takes a few rounds
+        y0 = ellipsoid.project(np.array([1.0, 0.01, 0.02, 0.0]))
+        cfg = osr.SearchConfig(seeds=1, action_window=(math.pi,
+                                                       1.44 * math.pi))
+        stage = osr._with_samples(osr._lm_stage(
+            ellipsoid, y0, 1.01 * math.pi, cfg, tol=1e-12, fd=1e-7,
+            iters=16, target=1e-12))
+        requests, rounds = next(stage), 1
+        while True:
+            try:
+                requests = stage.send(osr.flow(ellipsoid, requests))
+                rounds += 1
+            except StopIteration as stop:
+                y, T, best, samples = stop.value
+                break
+        assert rounds > 2 and best < 1e-9
+        alone = osr.flow(ellipsoid, [(y, T, 1e-12,
+                                      np.linspace(0.0, T, 256))])[0]
+        assert samples.tobytes() == alone.tobytes()
+
+    def test_reeb_calls(self, monkeypatch, ellipsoid):
+        calls = [0]
+        reeb = cd.StarshapedSurface.reeb
+
+        def counted(surface, x):
+            calls[0] += 1
+            return reeb(surface, x)
+
+        monkeypatch.setattr(cd.StarshapedSurface, "reeb", counted)
+        cfg = osr.SearchConfig(seeds=4, action_window=(math.pi,
+                                                       1.44 * math.pi))
+        osr.find_closed_orbits(ellipsoid, cfg)
+        # 4091 with the interpolant's 3 extra stages evaluated step by
+        # step and a separate sampling round
+        assert calls[0] == 3294
 
 
 class TestDeduplicate:
