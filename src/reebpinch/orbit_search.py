@@ -509,11 +509,15 @@ def _candidate(surface, x0, T0, cfg):
 def _lockstep(surface, candidates) -> tuple:
     """Run candidate generators to completion, one flow batch per round.
 
-    Each live candidate yields a list of requests; a round flattens every
-    list into one ``flow`` call and sends each candidate its results, in
-    order.  A request's result does not depend on the batch, so the order of
-    the candidates in a round does not matter.  Returns the candidates'
-    results, the number of rounds and the number of requests.
+    Each live candidate yields a list of requests, and its tolerance is the
+    tightest one in it.  A round flattens the lists whose tolerance is the
+    loosest pending one into one ``flow`` call and sends each of those
+    candidates its results, in order; a candidate with tighter requests
+    waits.  So the wide-stage iterations of every candidate run in rounds of
+    cheap steps, and the polish iterations run together after them.  A
+    request's result does not depend on the batch, so neither the order nor
+    the grouping of the candidates changes a result.  Returns the
+    candidates' results, the number of rounds and the number of requests.
     """
     results = [None] * len(candidates)
     pending = {}
@@ -526,10 +530,14 @@ def _lockstep(surface, candidates) -> tuple:
             pending.pop(i, None)
             results[i] = stop.value
 
+    def tol(i):
+        return min(r[2] for r in pending[i])
+
     for i in range(len(candidates)):
         advance(i, None)
     while pending:
-        ids = list(pending)
+        loosest = max(map(tol, pending))
+        ids = [i for i in pending if tol(i) == loosest]
         requests = [r for i in ids for r in pending[i]]
         out = flow(surface, requests)
         rounds, sent = rounds + 1, sent + len(requests)
@@ -548,7 +556,10 @@ def find_closed_orbits(surface: StarshapedSurface,
     Low-discrepancy seed points crossed with a uniform trial-period grid;
     every local minimum of a seed's return distance on the grid is refined
     by damped Gauss-Newton with finite-difference flow sensitivities.  All
-    seeds' scans, and then all candidates, integrate in lockstep batches.
+    seeds' scans integrate in one batch, then the candidates in lockstep
+    rounds that take the loosest-tolerance requests first: a candidate
+    whose next requests are tighter waits, so the wide-stage iterations
+    of every candidate run before any polish-stage round.
     """
     lo, hi = cfg.action_window
     dirs = sphere_directions(surface.space.dim, cfg.seeds, cfg.rng_seed)

@@ -37,6 +37,23 @@ EXACT_ROOT_TRIPLES = [
 ]
 
 
+def reference_ode_residual(traj):
+    """The residual step by step: a five-point G_at, an F_at and an h_s'
+    evaluation per accepted step."""
+    H = traj.homotopy
+    t = traj._sol.t
+    coeffs = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+    res = np.empty(len(t))
+    for i, s in enumerate(t):
+        if i < len(t) - 1:
+            dh = min(1e-3, (t[i + 1] - s) / 8.0)
+        else:
+            dh = -min(1e-3, (s - t[i - 1]) / 8.0)
+        Gp = float(coeffs @ traj.G_at(s + dh * np.arange(5))) / dh
+        res[i] = abs(Gp - (1.0 - H.dr(s, traj.F_at(s))))
+    return res
+
+
 @pytest.fixture(scope="module")
 def homotopy():
     return MonotoneHomotopy(build_profile(BASE))
@@ -100,6 +117,15 @@ class TestConnectingTrajectory:
 
     def test_residual_at_accepted_steps(self, trajectory):
         assert float(np.max(ode_residual(trajectory))) <= 10 * TOL
+
+    @pytest.mark.parametrize("triple", [
+        (BASE.R0, BASE.A, BASE.c), ULP_TRIPLES[0], EXACT_ROOT_TRIPLES[0]])
+    def test_residual_matches_per_step_loop(self, triple):
+        H = MonotoneHomotopy(build_profile(CoreParams(*triple)))
+        traj = integrate_connecting(H, tol=TOL)
+        fast, slow = ode_residual(traj), reference_ode_residual(traj)
+        assert fast.shape == slow.shape == traj._sol.t.shape
+        assert np.max(np.abs(fast - slow)) <= 1e-10
 
     def test_gap_margin_positive(self, trajectory, barrier):
         assert verify_gap(trajectory, barrier) > 0.0

@@ -146,6 +146,35 @@ def separate_sampling(stage):
     return y, T, best, None
 
 
+def reference_lockstep(surface, candidates):
+    """Every live candidate advances in every round, whatever the
+    tolerance of its requests."""
+    results = [None] * len(candidates)
+    pending = {}
+    rounds = sent = 0
+
+    def advance(i, value):
+        try:
+            pending[i] = candidates[i].send(value)
+        except StopIteration as stop:
+            pending.pop(i, None)
+            results[i] = stop.value
+
+    for i in range(len(candidates)):
+        advance(i, None)
+    while pending:
+        ids = list(pending)
+        requests = [r for i in ids for r in pending[i]]
+        out = osr.flow(surface, requests)
+        rounds, sent = rounds + 1, sent + len(requests)
+        start = 0
+        for i in ids:
+            n = len(pending[i])
+            advance(i, out[start:start + n])
+            start += n
+    return results, rounds, sent
+
+
 def corpus_surface(index):
     """Surface ``index`` of the acceptance corpus of radial_series
     perturbations of the unit sphere (criterion 6), drawn the same way."""
@@ -261,6 +290,35 @@ class TestSpeculativeRounds:
         assert fast.stats == slow.stats
         assert orbit_bits(fast) == orbit_bits(slow)
 
+    @pytest.mark.parametrize("name", ["E(1,1.2)", "E(1,1.1,1.3)", "sphere",
+                                      "corpus-2"])
+    def test_bitwise_equal_to_every_candidate_rounds(self, monkeypatch, name):
+        surface, cfg = search_case(name)
+        fast = osr.find_closed_orbits(surface, cfg)
+        monkeypatch.setattr(osr, "_lockstep", reference_lockstep)
+        slow = osr.find_closed_orbits(surface, cfg)
+        assert fast.stats == slow.stats
+        assert fast.stats.flow_requests == slow.stats.flow_requests
+        assert orbit_bits(fast) == orbit_bits(slow)
+
+    def test_loosest_tolerance_first(self, monkeypatch, ellipsoid):
+        tols = []
+        flow = osr.flow
+
+        def recorded(surface, requests):
+            tols.append({r[2] for r in requests})
+            return flow(surface, requests)
+
+        monkeypatch.setattr(osr, "flow", recorded)
+        cfg = osr.SearchConfig(seeds=4, action_window=(math.pi,
+                                                       1.44 * math.pi))
+        osr.find_closed_orbits(ellipsoid, cfg)
+        rounds = tols[1:]                 # after the coarse scan
+        assert all(len(t) == 1 for t in rounds)
+        order = [t.pop() for t in rounds]
+        assert order == sorted(order, reverse=True)
+        assert order[0] > order[-1]       # both stages ran
+
     def test_flow_rounds(self, monkeypatch, ellipsoid):
         calls = []
         flow = osr.flow
@@ -316,8 +374,9 @@ class TestSpeculativeRounds:
                                                        1.44 * math.pi))
         osr.find_closed_orbits(ellipsoid, cfg)
         # 4091 with the interpolant's 3 extra stages evaluated step by
-        # step and a separate sampling round
-        assert calls[0] == 3294
+        # step and a separate sampling round; 3294 with every candidate in
+        # every round, so that wide-stage iterations rode in polish rounds
+        assert calls[0] == 2712
 
 
 class TestDeduplicate:
