@@ -320,7 +320,10 @@ def cmd_ode_connect(args, cfg, t0) -> int:
 def cmd_ode_probe(args, cfg, t0) -> int:
     core = _core(cfg)
     H = MonotoneHomotopy(build_profile(core))
-    probes = [uniqueness_probe(H, -2.0, core.A + d, -10.0)
+    # near A the frozen branch drifts like exp(c |s|): the interval is long
+    # enough for a ratio of 10^2 in the linear rate, at least [-10, -2]
+    s_back = -2.0 - max(8.0, 2.0 * math.log(10.0) / core.c)
+    probes = [uniqueness_probe(H, -2.0, core.A + d, s_back)
               for d in (1e-3, -1e-3)]
     traj = integrate_connecting(H, tol=1e-10)
     adj_s, adj_x2 = radial_adjoint_profile(traj)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 # The Reeb flow does not use solve_ivp.  The name stays bound because
@@ -62,8 +62,8 @@ class SearchConfig:
     seeds: int = 64
     action_window: Tuple[float, float] = (0.5 * math.pi, 2.5 * math.pi)
     closure_tol: float = 1e-9
-    dedupe_tol: float = 1e-3
     rng_seed: int = 20260823
+    dedupe_tol: ClassVar[float] = 1e-3    # loop match (absolute)
 
     def __post_init__(self):
         lo, hi = self.action_window
@@ -73,12 +73,11 @@ class SearchConfig:
             raise ValueError("action window must satisfy lo > 0")
         if not math.isfinite(hi):
             raise ValueError(f"action window end must be finite, got hi = {hi}")
-        if self.closure_tol <= 0 or self.dedupe_tol <= 0:
+        if self.closure_tol <= 0:
             raise ValueError("tolerances must be positive")
-        for name in ("closure_tol", "dedupe_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, "
-                                 f"got {getattr(self, name)}")
+        if not math.isfinite(self.closure_tol):
+            raise ValueError("closure_tol must be finite, "
+                             f"got {self.closure_tol}")
         _require_count("seeds", self.seeds, 1)
         _require_count("rng_seed", self.rng_seed, 0)
 
@@ -475,19 +474,19 @@ def _candidate(surface, x0, T0, cfg):
 
     Two-stage refinement (a cheap wide-basin descent, then a high-accuracy
     polish that drives the closure residual to the integration floor), then
-    sampling of a converged orbit inside the window.  The polish rounds
-    carry the samples of every point they request (``_with_samples``); a
-    candidate that converges without a polish stage (closure_tol > 1e-3)
-    spends one more round on them.  Returns (converged, orbit or None).
+    sampling of a converged orbit inside the window.  Every candidate that
+    can converge, best < max(1e-3, closure_tol) after the wide stage, runs
+    the polish stage, and its rounds carry the samples of every point they
+    request (``_with_samples``).  Returns (converged, orbit or None).
     """
     y, T, best = yield from _lm_stage(surface, x0.copy(), T0, cfg, tol=1e-8,
                                       fd=1e-5, iters=3 * _LM_ITERS,
                                       target=1e-6)
-    samples = None
-    if best < 1e-3:
-        y, T, best, samples = yield from _with_samples(_lm_stage(
-            surface, y, T, cfg, tol=_FLOW_TOL, fd=1e-7, iters=_LM_ITERS,
-            target=max(1e-12, 1e-3 * cfg.closure_tol)))
+    if best >= max(1e-3, cfg.closure_tol):
+        return False, None
+    y, T, best, samples = yield from _with_samples(_lm_stage(
+        surface, y, T, cfg, tol=_FLOW_TOL, fd=1e-7, iters=_LM_ITERS,
+        target=max(1e-12, 1e-3 * cfg.closure_tol)))
     if best >= cfg.closure_tol:
         return False, None
     lo, hi = cfg.action_window
@@ -495,8 +494,6 @@ def _candidate(surface, x0, T0, cfg):
     if not lo - tol_pad <= T <= hi + tol_pad:
         return True, None
     ts = np.linspace(0.0, T, _ORBIT_SAMPLES)
-    if samples is None:
-        samples = (yield [(y, T, _FLOW_TOL, ts)])[0]
     pts = surface.project(samples)
     # action = int alpha(xdot) dt, re-evaluated by quadrature (= T for Reeb flow)
     R = surface.reeb(pts)
@@ -672,9 +669,13 @@ def verify_pinching_theorem(surface: StarshapedSurface,
     """Search the closed action window [pi R1^2, pi R2^2] and verify the
     multiplicity prediction distinct_count >= n = cuplength(CP^{n-1}) + 1.
 
-    Degenerate (Morse-Bott) spectra - more than half of the accepted seeds
-    landing on one action level with non-matching point sets - are labelled
-    a degenerate family instead of inflating the count.
+    distinct_count counts geometrically distinct orbits (``deduplicate``).
+    A level is labelled degenerate only on a Morse-Bott family known in
+    closed form: the round sphere's window R1 = R2 (every orbit a Hopf
+    fibre), and on an ellipsoid the level pi r^2 of a repeated radius r.
+    Such a level counts once, reported as its first representative's action
+    to 9 digits, and passes the count: a family holds infinitely many simple
+    orbits.
     """
     _require_count("seeds", seeds, 1)
     _require_count("rng_seed", rng_seed, 0)
@@ -685,35 +686,25 @@ def verify_pinching_theorem(surface: StarshapedSurface,
     if not ratio_ok:
         return SpectrumReport([], 0, n, window, None, R1, R2, ratio)
     lo, hi = window
-    if hi - lo < 1e-9 * max(1.0, lo):
+    sphere = hi - lo < 1e-9 * max(1.0, lo)
+    if sphere:
         # degenerate window (round sphere): pad the search interval only
         lo, hi = lo * (1.0 - 1e-3), hi * (1.0 + 1e-3)
     cfg = SearchConfig(seeds=seeds, action_window=(lo, hi), rng_seed=rng_seed)
     found = find_closed_orbits(surface, cfg)
     reps = deduplicate(found.orbits, cfg.dedupe_tol)
 
-    # degenerate-family labelling
+    # the closed-form Morse-Bott levels
+    radii = list(surface.params["radii"]) if surface.kind == "ellipsoid" else []
+    families = [window[0]] if sphere else sorted(
+        {math.pi * r ** 2 for r in radii if radii.count(r) > 1})
     degenerate = []
-    if found.stats.accepted > 0:
-        actions = np.array([o.action for o in reps])
-        for level in np.unique(actions.round(9)):
-            members = [o for o in reps
-                       if abs(o.action - level) <= cfg.dedupe_tol]
-            raw_count = sum(1 for o in found.orbits
-                            if abs(o.action - level) <= cfg.dedupe_tol)
-            if len(members) > 1 and raw_count > 0.5 * found.stats.accepted:
-                degenerate.append(float(level))
-    if degenerate:
-        # collapse each degenerate level to a single representative
-        kept = []
-        for o in reps:
-            if any(abs(o.action - lv) <= cfg.dedupe_tol for lv in degenerate):
-                if not any(abs(o.action - k.action) <= cfg.dedupe_tol
-                           for k in kept):
-                    kept.append(o)
-            else:
-                kept.append(o)
-        reps = kept
+    for level in families:
+        members = [o for o in reps if abs(o.action - level) <= cfg.dedupe_tol]
+        if members:
+            degenerate.append(float(np.round(members[0].action, 9)))
+            reps = [o for o in reps if o is members[0]
+                    or abs(o.action - level) > cfg.dedupe_tol]
 
     notes = []
     for o in reps:

@@ -180,8 +180,8 @@ def forbidden_distance(core: CoreParams, v: float) -> float:
     return min(x - w, 1.0 - x)
 
 
-def in_forbidden_set(core: CoreParams, v: float, guard: float = FORBIDDEN_GUARD) -> bool:
-    w = core.window_width
+def in_forbidden_set(core: CoreParams, v: float) -> bool:
+    w, guard = core.window_width, FORBIDDEN_GUARD
     x = (float(v) - core.A) % 1.0
     if abs(x - w) <= guard:        # right endpoint: half-open, outside
         return False
@@ -599,15 +599,14 @@ def default_shape(core: CoreParams) -> ShapeParams:
                 lambda v: min(distance(v), distance(-v)))
 
 
-def build_profile(core: CoreParams, shape: Optional[ShapeParams] = None) -> RadialProfile:
-    """Build a certified-ready profile; deterministic given (core, shape)."""
+def build_profile(core: CoreParams) -> RadialProfile:
+    """Build a certified-ready profile on ``default_shape``; deterministic
+    given core."""
     rep = core.validate()
     if not rep.passed:
         bad = ", ".join(n for n, _ in rep.failed_constraints()) or rep.message
         raise BuildError(f"core parameters rejected: {bad}")
-    if shape is None:
-        shape = default_shape(core)
-    return _assemble(core, shape)
+    return _assemble(core, default_shape(core))
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,9 @@ class TestOdeCommands:
         (1.469734732992947, 0.6852010833099484, 0.47426797170192003),
         (1.3811799278482795, 0.4318310869857669, 0.44738549180328846),
         (1.50379444565624, 0.31302117090672255, 0.48835170082747936),
-        (1.715884868055582, 0.4253363497555256, 0.9693316631019115)])
+        (1.715884868055582, 0.4253363497555256, 0.9693316631019115),
+        # c < ln(10)/8: the fixed interval [-10, -2] gave ratios of about 7
+        (1.3417368847876787, 0.7452869275584817, 0.24759034533053637)])
     def test_ode_probe_zeta2_exact(self, tmp_path, capsys, R0, A, c):
         code, _, _ = run(capsys, "ode-probe", "--R0", repr(R0), "--A",
                          repr(A), "--c", repr(c), "--out", str(tmp_path))
@@ -302,6 +304,17 @@ class TestSurfaceCommands:
         assert doc["oracle_matched"] is True
         assert doc["oracle_actions"] == pytest.approx(
             [math.pi, 1.44 * math.pi])
+
+    def test_verify_ellipsoid_repeated_radius(self, tmp_path, capsys):
+        # the repeated radius 1.0 makes pi a degenerate level (an S^3 of
+        # circles), which collapses to one orbit and passes the count
+        code, _, _ = run(capsys, "verify-ellipsoid", "--radii", "1.0,1.0,1.3",
+                         "--seeds", "16", "--out", str(tmp_path))
+        assert code == 0
+        doc = load_report(tmp_path, "verify-ellipsoid")
+        assert doc["oracle_matched"] is True
+        assert doc["degenerate_levels"] == [pytest.approx(math.pi)]
+        assert doc["distinct_count"] == 2
 
     def test_manifest_counts_flow_rounds(self, tmp_path, capsys,
                                          monkeypatch):

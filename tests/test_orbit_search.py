@@ -140,10 +140,11 @@ def one_request_per_round(stage):
 
 
 def separate_sampling(stage):
-    """Run an LM stage with no dense twins; the candidate then samples its
-    orbit in a round of its own."""
+    """Run an LM stage with no dense twins, then sample the (y, T) it
+    returns in a round of its own."""
     y, T, best = yield from stage
-    return y, T, best, None
+    (pts,) = yield [(y, T, osr._FLOW_TOL, np.linspace(0.0, T, 256))]
+    return y, T, best, pts
 
 
 def reference_lockstep(surface, candidates):
@@ -456,6 +457,33 @@ class TestVerifyPinching:
         assert rep.distinct_count == 3
         assert [o.action for o in rep.orbits] == pytest.approx(
             [math.pi, 1.21 * math.pi, 1.69 * math.pi], rel=1e-6)
+
+    def test_near_degenerate_counts_distinct_orbits(self):
+        # the orbits of corpus 14 split only at second order, so all their
+        # actions lie within dedupe_tol; no closed-form family is there
+        surface = corpus_surface(14)
+        rep = osr.verify_pinching_theorem(surface, seeds=16)
+        lo, hi = rep.window
+        found = osr.find_closed_orbits(surface, osr.SearchConfig(
+            seeds=16, action_window=(lo, hi)))
+        distinct = osr.deduplicate(found.orbits, osr.SearchConfig.dedupe_tol)
+        assert rep.distinct_count == len(distinct) == 4
+        assert rep.degenerate_levels == []
+        assert rep.passed is True
+
+    @pytest.mark.parametrize("radii, level, actions", [
+        # the circles of the unit S^3 in C^2 x {0} form a family at pi
+        ([1.0, 1.0, 1.3], 3.141592654, [1.0, 1.69]),
+        ([1.0, 1.2, 1.2], 4.523893421, [1.0, 1.44])])
+    def test_repeated_radius_family(self, radii, level, actions):
+        surface = cd.StarshapedSurface(cd.AmbientSpace(3), np.zeros(6),
+                                       "ellipsoid", {"radii": radii})
+        rep = osr.verify_pinching_theorem(surface, seeds=16)
+        assert rep.degenerate_levels == [level]
+        assert rep.distinct_count == 2
+        assert rep.passed is True
+        assert [o.action for o in rep.orbits] == pytest.approx(
+            [math.pi * a for a in actions], rel=1e-6)
 
     def test_ellipsoid_small_budget(self, ellipsoid):
         rep = osr.verify_pinching_theorem(ellipsoid, seeds=24)
