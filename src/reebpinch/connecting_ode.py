@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 S_FROZEN_START = -3.0   # stored extent of the frozen branch F == A
-S_HORIZON = 50.0        # ODE end: 26 e-folding times R0/c of the base triple's approach
+S_HORIZON = 50.0        # least ODE end; near it the gap decays like e^{-c s/R0}
 _BARRIER_RTOL = 1e-12   # bisection width, 100x below the ODE tolerance 1e-10
 _ADJOINT_INNER_POINTS = 4001  # adjoint quadrature on [-1, 0], where psi varies
 _RTOL_FLOOR = 100 * float(np.finfo(float).eps)  # solve_ivp raises lower rtols to it
@@ -112,16 +112,14 @@ class ConnectingTrajectory:
         return float(out[0]) if s_in.ndim == 0 else out
 
     def F_at(self, s):
-        s = np.asarray(s, dtype=float)
-        if s.ndim == 0:
-            return float(np.exp(self.G_at(s)))
-        return np.exp(self.G_at(s))
+        F = np.exp(self.G_at(s))
+        return float(F) if np.ndim(s) == 0 else F
 
 
 def integrate_connecting(H: MonotoneHomotopy,
                          tol: float = 1e-10) -> ConnectingTrajectory:
     """Integrate G' = 1 - h_s'(e^G) from the frozen branch until e^G reaches
-    R0 B, or out to S_HORIZON."""
+    R0 B, or out to s = max(S_HORIZON, 2 (R0/c) ln(1/tol))."""
     if not (math.isfinite(tol) and tol >= _RTOL_FLOOR):
         raise ValueError(f"tol must be finite and >= {_RTOL_FLOOR!r} "
                          f"(the integrator's rtol floor), got {tol!r}")
@@ -137,7 +135,8 @@ def integrate_connecting(H: MonotoneHomotopy,
     reached.terminal = True
     reached.direction = -1
 
-    sol = solve_ivp(rhs, (-1.0, S_HORIZON), [logA], method="RK45",
+    horizon = max(S_HORIZON, 2.0 * core.R0 / core.c * math.log(1.0 / tol))
+    sol = solve_ivp(rhs, (-1.0, horizon), [logA], method="RK45",
                     rtol=tol, atol=tol, first_step=1e-3,
                     dense_output=True, events=reached)
     if not sol.success:

@@ -22,13 +22,14 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.optimize import minimize
 from scipy.stats import norm, qmc
 
+from .connecting_ode import IntegrationError
 from .radial_profile import RadialProfile
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "RADIAL_SIGN",
     "normal_at",
     "reeb_field",
+    "flow",
     "hypothesis_margin",
     "pinch_radii",
     "sphere_directions",
@@ -243,7 +245,7 @@ class StarshapedSurface:
         """Radial function on unit directions (vectorized over leading axes)."""
         u = np.asarray(u, dtype=float)
         if self.kind == "ellipsoid":
-            q = np.sum((u / self._axes) ** 2, axis=-1)
+            q = np.add.reduce((u / self._axes) ** 2, -1)
             return q ** -0.5
         return self._R + self._series(u)[..., 0]
 
@@ -329,6 +331,266 @@ def reeb_field(surface: StarshapedSurface, x: np.ndarray) -> np.ndarray:
     """Reeb vector field R(x) = (2/<nu(x), x>) J nu(x) of alpha on the surface."""
     surface.require_on_surface(x)
     return surface.reeb(x)
+
+
+# ---------------------------------------------------------------------------
+# the Reeb flow and its DOP853 engine
+# ---------------------------------------------------------------------------
+
+# DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.10) with scipy's tableau
+# and step-size controller, so that a lone request takes solve_ivp's steps.
+_N_STAGES = dop853_coefficients.N_STAGES
+_A = dop853_coefficients.A
+_C = dop853_coefficients.C
+_B = dop853_coefficients.B
+_E3 = dop853_coefficients.E3
+_E5 = dop853_coefficients.E5
+_D = dop853_coefficients.D
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0         # -1 / (error estimator order + 1)
+# tableau rows as columns over (stage, row, coordinate); stages 13-15 are
+# the interpolant's extra stages
+_A_COLS = [_A[s, :s, None, None] for s in range(len(_C))]
+_B_COL, _E3_COL, _E5_COL = (c[:, None, None] for c in (_B, _E3, _E5))
+_D_COLS = _D[:, :, None, None]
+
+
+def _combine(col: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """sum_s col[s] K[s], accumulated stage by stage for every element, so a
+    row's value does not depend on the other rows in K."""
+    return np.add.reduce(col * K[:len(col)], axis=0)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices start, ..., start + count - 1 of every pair, in order."""
+    return np.arange(counts.sum()) + np.repeat(
+        starts - (np.cumsum(counts) - counts), counts)
+
+
+class _Batch:
+    """The live requests of an integration and their stacked rows.
+
+    Rows are stacked request by request and ``owner`` maps a row to its
+    request.  Every per-row operation is elementwise and every per-request
+    quantity is a reduction over that request's own rows, so a request's
+    result does not depend on what else is in the batch.
+    """
+
+    def __init__(self, field, ids, y, T, tol, rows, dense):
+        self.ids = np.asarray(ids)                # index into the call's list
+        self.y = y                                # (N, d) current states
+        self.T = np.asarray(T, dtype=float)
+        self.tol = np.asarray(tol, dtype=float)
+        self.rows = np.asarray(rows)
+        self.dense = np.asarray(dense)            # the request has times
+        self.t = np.zeros(len(self.ids))
+        self.rejected = np.zeros(len(self.ids), dtype=bool)
+        self._index()
+        self.f = field(y)
+        self.h_abs = self._initial_step(field)
+
+    def _index(self):
+        self.owner = np.repeat(np.arange(len(self.rows)), self.rows)
+        self.starts = np.cumsum(self.rows) - self.rows
+        self.size = self.rows * self.y.shape[1]   # elements per request
+
+    def per_row(self, v):
+        return v[self.owner][:, None]
+
+    def rows_of(self, j):
+        return slice(self.starts[j], self.starts[j] + self.rows[j])
+
+    def mean_sq(self, x):
+        """Mean square over each request's elements of x."""
+        return (np.add.reduceat(np.add.reduce(x * x, -1), self.starts)
+                / self.size)
+
+    def scale(self, y):
+        tol = self.per_row(self.tol)
+        return tol + y * tol
+
+    def _initial_step(self, field):
+        """scipy's select_initial_step (order 7, no max step), per request."""
+        y0, f0 = self.y, self.f
+        scale = self.scale(np.abs(y0))
+        d0 = np.sqrt(self.mean_sq(y0 / scale))
+        d1 = np.sqrt(self.mean_sq(f0 / scale))
+        small = (d0 < 1e-5) | (d1 < 1e-5)
+        h0 = np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1.0, d1))
+        h0 = np.minimum(h0, self.T)
+        f1 = field(y0 + self.per_row(h0) * f0)
+        d2 = np.sqrt(self.mean_sq((f1 - f0) / scale)) / h0
+        flat = (d1 <= 1e-15) & (d2 <= 1e-15)
+        h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.where(flat, 1.0, np.maximum(d1, d2)))
+                      ** (1.0 / 8.0))
+        return np.minimum(np.minimum(100 * h0, h1), self.T)
+
+    def keep(self, live):
+        """Drop the finished requests and their rows."""
+        rows = live[self.owner]
+        for name in ("ids", "T", "tol", "rows", "dense", "t", "h_abs",
+                     "rejected"):
+            setattr(self, name, getattr(self, name)[live])
+        self.y, self.f = self.y[rows], self.f[rows]
+        self._index()
+
+
+def _dense_output(field, times: dict, kept: list) -> dict:
+    """Dense output at every request's output times, from DOP853's
+    interpolant (scipy's Dop853DenseOutput) on the accepted steps kept for
+    it.  ``times`` maps a request to its times; ``kept`` holds, for each
+    step of the loop, the accepted steps of those requests: (ids, t_old,
+    t_new, h, rows) per request and y_old, y_new, K[0..12] per row.
+
+    A time goes to the first step ending at or after it, so the first step
+    also takes times before 0 and the last one those past T, as scipy's
+    OdeSolution does.  The three extra stages run in three ``field`` calls
+    on the rows of every step that serves a time, then one Horner
+    pass evaluates every (time, row).  Returns request -> array with a
+    leading time axis and one row per state, in the order of its times.
+    """
+    fields = list(zip(*kept))
+    ids, t_old, t_new, h, rows = (np.concatenate(f) for f in fields[:5])
+    y_old, y_new = np.vstack(fields[5]), np.vstack(fields[6])
+    K_kept = np.concatenate(fields[7], axis=1)
+    step, sizes = [], []
+    for i, ts in times.items():
+        mine = np.flatnonzero(ids == i)          # its steps, in time order
+        k = np.searchsorted(t_new[mine], ts, "left")
+        step.append(mine[np.minimum(k, len(mine) - 1)])
+        sizes.append(len(ts) * rows[mine[0]])
+    step = np.concatenate(step)                  # the step serving each time
+    if not len(step):                            # no stage to evaluate
+        return {i: np.empty(0) for i in times}
+    when = np.concatenate(list(times.values()))
+    due = np.unique(step)
+    sel = _ranges((np.cumsum(rows) - rows)[due], rows[due])
+    first = np.zeros(len(ids), dtype=int)        # step's first row in sel
+    first[due] = np.cumsum(rows[due]) - rows[due]
+
+    K = np.empty((len(_C), len(sel), y_old.shape[1]))
+    K[:_N_STAGES + 1] = K_kept[:, sel]
+    y0 = y_old[sel]
+    hr = np.repeat(h[due], rows[due])[:, None]
+    for s in range(_N_STAGES + 1, len(_C)):
+        K[s] = field(y0 + _combine(_A_COLS[s], K) * hr)
+    delta = y_new[sel] - y0
+    F = [delta, hr * K[0] - delta, 2 * delta - hr * (K[_N_STAGES] + K[0])]
+    F += [hr * _combine(col, K) for col in _D_COLS]
+
+    # every (time, row), time by time and row by row within a request
+    at = _ranges(first[step], rows[step])
+    x = np.repeat((when - t_old[step]) / h[step], rows[step])[:, None]
+    out = np.zeros((len(at), y0.shape[1]))
+    for i, f in enumerate(reversed(F)):
+        out += f[at]
+        out *= x if i % 2 == 0 else 1 - x
+    out += y0[at]
+    return {i: block for i, block in
+            zip(times, np.split(out, np.cumsum(sizes)[:-1]))}
+
+
+def _integrate(field, requests) -> List[np.ndarray]:
+    """flow's DOP853 engine for ydot = field(y), on flow's requests and
+    results.  ``field`` maps (N, d) rows to (N, d) rows, row by row; each
+    RK stage, and each extra stage of the dense output, is one ``field``
+    call on the live rows of every request."""
+    states = [np.asarray(r[0], dtype=float) for r in requests]
+    stacked = [s.reshape(-1, s.shape[-1]) for s in states]
+    if not stacked:
+        return []
+    times = {i: np.asarray(r[3], dtype=float)
+             for i, r in enumerate(requests) if r[3] is not None}
+    results: List[Optional[np.ndarray]] = [None] * len(requests)
+    batch = _Batch(field, range(len(requests)), np.vstack(stacked),
+                   [r[1] for r in requests], [r[2] for r in requests],
+                   [len(s) for s in stacked],
+                   [r[3] is not None for r in requests])
+    kept = []                 # accepted steps of the requests with times
+    K = np.empty((_N_STAGES + 1,) + batch.y.shape)
+    while len(batch.ids):
+        t, y = batch.t, batch.y
+        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        # written so that a NaN step size also stops the loop
+        if np.any(batch.rejected & ~(batch.h_abs >= min_step)):
+            raise IntegrationError("flow integration failed: Required step "
+                                   "size is less than spacing between "
+                                   "numbers.")
+        # a fresh step is at least min_step long; a retried one is not raised
+        h_abs = np.where(~batch.rejected & (batch.h_abs < min_step),
+                         min_step, batch.h_abs)
+        t_new = np.minimum(t + h_abs, batch.T)
+        h = t_new - t
+
+        hr = batch.per_row(h)
+        K = K[:, :len(y)]
+        K[0] = batch.f
+        for s in range(1, _N_STAGES):
+            K[s] = field(y + _combine(_A_COLS[s], K) * hr)
+        y_new = y + hr * _combine(_B_COL, K)
+        K[_N_STAGES] = field(y_new)
+
+        scale = batch.scale(np.maximum(np.abs(y), np.abs(y_new)))
+        e5 = batch.mean_sq(_combine(_E5_COL, K) / scale)
+        e3 = batch.mean_sq(_combine(_E3_COL, K) / scale)
+        # scipy's |h| |e5|^2 / sqrt((|e5|^2 + |e3|^2 / 100) size), in means
+        denom = e5 + 0.01 * e3
+        zero = denom == 0.0
+        err = np.where(zero, 0.0, h * e5 / np.sqrt(np.where(zero, 1.0, denom)))
+        accept = err < 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = _SAFETY * err ** _ERROR_EXPONENT
+        grow = np.where(err == 0.0, _MAX_FACTOR,
+                        np.where(ratio < _MAX_FACTOR, ratio, _MAX_FACTOR))
+        grow = np.where(batch.rejected, np.minimum(1.0, grow), grow)
+        # as Python's max(0.2, nan) = 0.2: a NaN error shrinks the step
+        shrink = np.where(ratio > _MIN_FACTOR, ratio, _MIN_FACTOR)
+        batch.h_abs = h * np.where(accept, grow, shrink)
+        batch.rejected = ~accept
+        finished = accept & (t_new >= batch.T)
+
+        store = accept & batch.dense
+        if store.any():
+            rows = store[batch.owner]
+            kept.append((batch.ids[store], t[store], t_new[store], h[store],
+                         batch.rows[store], y[rows], y_new[rows], K[:, rows]))
+
+        take = batch.per_row(accept)
+        batch.y = np.where(take, y_new, y)
+        batch.f = np.where(take, K[_N_STAGES], batch.f)
+        batch.t = np.where(accept, t_new, t)
+        if finished.any():
+            for j in np.flatnonzero(finished & ~batch.dense):
+                i = batch.ids[j]
+                results[i] = batch.y[batch.rows_of(j)].reshape(states[i].shape)
+            batch.keep(~finished)
+    if times:
+        for i, out in _dense_output(field, times, kept).items():
+            results[i] = out.reshape((len(times[i]),) + states[i].shape)
+    return results
+
+
+def flow(surface: StarshapedSurface, requests) -> List[np.ndarray]:
+    """Integrate xdot = R(x) for a batch of requests in lockstep: the DOP853
+    engine ``_integrate`` on ``surface.reeb``.
+
+    Each request is ``(states, T, tol, times)``: on-surface states, shape
+    (d,) or (k, d), flowed forward for time T > 0 with rtol = atol = tol.
+    Returns one array per request: the states at T, shaped like ``states``,
+    when ``times`` is None, else the dense output at ``times`` with a leading
+    time axis.  Step-size control is per request: all states of a request
+    share its steps, and a lone request takes the steps that
+    ``solve_ivp(method="DOP853")`` takes.  Raises ValueError unless every
+    T > 0, OffSurfaceError for a start state off the surface,
+    HypothesisError where <nu, x> <= 0, and IntegrationError when a step
+    size underflows or is NaN.
+    """
+    if not all(r[1] > 0 for r in requests):
+        raise ValueError("flow needs T > 0 for every request")
+    if len(requests):
+        surface.require_on_surface(np.vstack([r[0] for r in requests]))
+    return _integrate(surface.reeb, requests)
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +753,14 @@ def v_f_field(f: GraphFunction, x: np.ndarray) -> np.ndarray:
     span{x, Jx} (J preserves xi_x).
     """
     x = np.asarray(x, dtype=float)
-    Jx = f.space.J(x)
-    g = f.grad(x)
-    g = (g - np.sum(g * x, axis=-1)[..., None] * x
-         - np.sum(g * Jx, axis=-1)[..., None] * Jx)
-    return math.pi * f.space.J(g)
+    return _v_f(f.space, x, f.grad(x))
+
+
+def _v_f(space: AmbientSpace, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """V_f at x from the ambient gradient g of f at x."""
+    Jx = space.J(x)
+    return math.pi * space.J(g - np.add.reduce(g * x, -1)[..., None] * x
+                             - np.add.reduce(g * Jx, -1)[..., None] * Jx)
 
 
 @dataclass
@@ -512,24 +777,28 @@ class GraphField:
 
 
 def graph_hamiltonian_field(profile: RadialProfile, f: GraphFunction,
-                            x: np.ndarray, r: float) -> GraphField:
+                            x: np.ndarray, r) -> GraphField:
     """Hamiltonian vector field of h_f(x, r) = h(r/f(x)) for d(r abar):
 
         X = (h'(r/f)/f^2) (f Rbar - V_f + r df(Rbar) d/dr).
 
     The radial sign is fixed by the contraction identity
-    i_X d(r abar) = -d h_f.
+    i_X d(r abar) = -d h_f.  Vectorized over the leading axes of x, with
+    one r per point, and row by row: f's value and gradient are taken once.
     """
-    if r <= 0.0:
+    x, r = np.asarray(x, dtype=float), np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
         raise ValueError("radial coordinate must be positive")
-    x = np.asarray(x, dtype=float)
-    fv = float(f.value(x))
-    hp = float(profile.dh(r / fv))
-    V = v_f_field(f, x)
+    fv = np.asarray(f.value(x), dtype=float)
+    g = f.grad(x)
     Rb = _rbar(f.space, x)
+    dfR = np.add.reduce((g - np.add.reduce(g * x, -1)[..., None] * x) * Rb, -1)
+    # h' value by value: the profile's scalar path, with its array path's bits
+    hp = np.reshape([profile.dh(q) for q in (r / fv).flat], fv.shape)
     pref = hp / fv ** 2
-    return GraphField(reeb=pref * fv * Rb, xi=-pref * V,
-                      radial=pref * RADIAL_SIGN * r * float(f.df(x, Rb)))
+    return GraphField(reeb=(pref * fv)[..., None] * Rb,
+                      xi=-pref[..., None] * _v_f(f.space, x, g),
+                      radial=pref * RADIAL_SIGN * r * dfR)
 
 
 def reeb_on_graph(f: GraphFunction, x: np.ndarray) -> GraphField:
@@ -563,29 +832,22 @@ class HamiltonianOrbit:
 
 def integrate_hamiltonian_orbit(profile: RadialProfile, f: GraphFunction,
                                 x0: np.ndarray, c: float) -> HamiltonianOrbit:
-    """Integrate X_{h_f} over [0, 1] from (x0, c f(x0)) and sample uniformly."""
-    x0 = np.asarray(x0, dtype=float)
-    x0 = x0 / np.linalg.norm(x0)
-    r0 = c * float(f.value(x0))
+    """Integrate X_{h_f} over [0, 1] from (x0, c f(x0)) and sample uniformly:
+    one request to flow's engine on rows (x, r), whose dense output at
+    t = k/256, k = 0..256, gives the samples and, at t = 1, the closure."""
+    x0 = np.asarray(x0, dtype=float) / np.linalg.norm(x0)
+    y0 = np.append(x0, c * float(f.value(x0)))
 
-    def rhs(t, y):
-        pt = y[:-1]
-        pt = pt / np.linalg.norm(pt)
-        X = graph_hamiltonian_field(profile, f, pt, float(y[-1]))
-        return np.append(X.sphere, X.radial)
+    def field(rows):
+        x = rows[:, :-1] / np.linalg.norm(rows[:, :-1], axis=-1, keepdims=True)
+        X = graph_hamiltonian_field(profile, f, x, rows[:, -1])
+        return np.column_stack([X.sphere, X.radial])
 
-    y0 = np.append(x0, r0)
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853",
-                    rtol=_HAMILTONIAN_TOL, atol=_HAMILTONIAN_TOL,
-                    dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"Hamiltonian orbit integration failed: {sol.message}")
-    closure = float(np.linalg.norm(sol.y[:, -1] - y0))
-    t = np.arange(_HAMILTONIAN_POINTS) / _HAMILTONIAN_POINTS
-    Y = sol.sol(t).T
-    x = Y[:, :-1]
-    x = x / np.linalg.norm(x, axis=-1, keepdims=True)
-    return HamiltonianOrbit(x=x, r=Y[:, -1], closure_residual=closure)
+    t = np.arange(_HAMILTONIAN_POINTS + 1) / _HAMILTONIAN_POINTS
+    Y = _integrate(field, [(y0, 1.0, _HAMILTONIAN_TOL, t)])[0]
+    x = Y[:-1, :-1] / np.linalg.norm(Y[:-1, :-1], axis=-1, keepdims=True)
+    return HamiltonianOrbit(x=x, r=Y[:-1, -1],
+                            closure_residual=float(np.linalg.norm(Y[-1] - y0)))
 
 
 def _fft_derivative(values: np.ndarray, period: float) -> np.ndarray:

@@ -14,16 +14,13 @@ from dataclasses import dataclass, field
 from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
-# The Reeb flow does not use solve_ivp.  The name stays bound because
-# perfbench's tracer wraps ``orbit_search.solve_ivp`` (its count now reads 0).
-from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.integrate._ivp import dop853_coefficients
+from scipy.integrate import solve_ivp  # noqa: F401  (perfbench's tracer wraps it)
 
-from .connecting_ode import IntegrationError
 from .contact_dynamics import (
     ReebOrbit,
     StarshapedSurface,
     _fft_derivative,
+    flow,
     hypothesis_margin,
     pinch_radii,
     sphere_directions,
@@ -109,262 +106,6 @@ class SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# the Reeb flow
-# ---------------------------------------------------------------------------
-
-# DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.10) with scipy's tableau
-# and step-size controller, so that a lone request takes solve_ivp's steps.
-_N_STAGES = dop853_coefficients.N_STAGES
-_A = dop853_coefficients.A
-_C = dop853_coefficients.C
-_B = dop853_coefficients.B
-_E3 = dop853_coefficients.E3
-_E5 = dop853_coefficients.E5
-_D = dop853_coefficients.D
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1.0 / 8.0         # -1 / (error estimator order + 1)
-# tableau rows as columns over (stage, row, coordinate); stages 13-15 are
-# the interpolant's extra stages
-_A_COLS = [_A[s, :s, None, None] for s in range(len(_C))]
-_B_COL, _E3_COL, _E5_COL = (c[:, None, None] for c in (_B, _E3, _E5))
-_D_COLS = _D[:, :, None, None]
-
-
-def _combine(col: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """sum_s col[s] K[s], accumulated stage by stage for every element, so a
-    row's value does not depend on the other rows in K."""
-    return np.add.reduce(col * K[:len(col)], axis=0)
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The indices start, ..., start + count - 1 of every pair, in order."""
-    return np.arange(counts.sum()) + np.repeat(
-        starts - (np.cumsum(counts) - counts), counts)
-
-
-class _Batch:
-    """The live requests of a flow call and their stacked rows.
-
-    Rows are stacked request by request and ``owner`` maps a row to its
-    request.  Every per-row operation is elementwise and every per-request
-    quantity is a reduction over that request's own rows, so a request's
-    result does not depend on what else is in the batch.
-    """
-
-    def __init__(self, surface, ids, y, T, tol, rows, dense):
-        self.ids = np.asarray(ids)                # index into the call's list
-        self.y = y                                # (N, d) current states
-        self.T = np.asarray(T, dtype=float)
-        self.tol = np.asarray(tol, dtype=float)
-        self.rows = np.asarray(rows)
-        self.dense = np.asarray(dense)            # the request has times
-        self.t = np.zeros(len(self.ids))
-        self.rejected = np.zeros(len(self.ids), dtype=bool)
-        self._index()
-        self.f = surface.reeb(y)
-        self.h_abs = self._initial_step(surface)
-
-    def _index(self):
-        self.owner = np.repeat(np.arange(len(self.rows)), self.rows)
-        self.starts = np.cumsum(self.rows) - self.rows
-        self.size = self.rows * self.y.shape[1]   # elements per request
-
-    def per_row(self, v):
-        return v[self.owner][:, None]
-
-    def rows_of(self, j):
-        return slice(self.starts[j], self.starts[j] + self.rows[j])
-
-    def mean_sq(self, x):
-        """Mean square over each request's elements of x."""
-        return (np.add.reduceat(np.add.reduce(x * x, -1), self.starts)
-                / self.size)
-
-    def scale(self, y):
-        tol = self.per_row(self.tol)
-        return tol + y * tol
-
-    def _initial_step(self, surface):
-        """scipy's select_initial_step (order 7, no max step), per request."""
-        y0, f0 = self.y, self.f
-        scale = self.scale(np.abs(y0))
-        d0 = np.sqrt(self.mean_sq(y0 / scale))
-        d1 = np.sqrt(self.mean_sq(f0 / scale))
-        small = (d0 < 1e-5) | (d1 < 1e-5)
-        h0 = np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1.0, d1))
-        h0 = np.minimum(h0, self.T)
-        f1 = surface.reeb(y0 + self.per_row(h0) * f0)
-        d2 = np.sqrt(self.mean_sq((f1 - f0) / scale)) / h0
-        flat = (d1 <= 1e-15) & (d2 <= 1e-15)
-        h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
-                      (0.01 / np.where(flat, 1.0, np.maximum(d1, d2)))
-                      ** (1.0 / 8.0))
-        return np.minimum(np.minimum(100 * h0, h1), self.T)
-
-    def keep(self, live):
-        """Drop the finished requests and their rows."""
-        rows = live[self.owner]
-        for name in ("ids", "T", "tol", "rows", "dense", "t", "h_abs",
-                     "rejected"):
-            setattr(self, name, getattr(self, name)[live])
-        self.y, self.f = self.y[rows], self.f[rows]
-        self._index()
-
-
-def _dense_output(surface, times: dict, kept: list) -> dict:
-    """Dense output at every request's output times, from DOP853's
-    interpolant (scipy's Dop853DenseOutput) on the accepted steps kept for
-    it.  ``times`` maps a request to its times; ``kept`` holds, for each
-    step of the loop, the accepted steps of those requests: (ids, t_old,
-    t_new, h, rows) per request and y_old, y_new, K[0..12] per row.
-
-    A time goes to the first step ending at or after it, so the first step
-    also takes times before 0 and the last one those past T, as scipy's
-    OdeSolution does.  The three extra stages run in three ``surface.reeb``
-    calls on the rows of every step that serves a time, then one Horner
-    pass evaluates every (time, row).  Returns request -> array with a
-    leading time axis and one row per state, in the order of its times.
-    """
-    fields = list(zip(*kept))
-    ids, t_old, t_new, h, rows = (np.concatenate(f) for f in fields[:5])
-    y_old, y_new = np.vstack(fields[5]), np.vstack(fields[6])
-    K_kept = np.concatenate(fields[7], axis=1)
-    step, sizes = [], []
-    for i, ts in times.items():
-        mine = np.flatnonzero(ids == i)          # its steps, in time order
-        k = np.searchsorted(t_new[mine], ts, "left")
-        step.append(mine[np.minimum(k, len(mine) - 1)])
-        sizes.append(len(ts) * rows[mine[0]])
-    step = np.concatenate(step)                  # the step serving each time
-    if not len(step):                            # no stage to evaluate
-        return {i: np.empty(0) for i in times}
-    when = np.concatenate(list(times.values()))
-    due = np.unique(step)
-    sel = _ranges((np.cumsum(rows) - rows)[due], rows[due])
-    first = np.zeros(len(ids), dtype=int)        # step's first row in sel
-    first[due] = np.cumsum(rows[due]) - rows[due]
-
-    K = np.empty((len(_C), len(sel), y_old.shape[1]))
-    K[:_N_STAGES + 1] = K_kept[:, sel]
-    y0 = y_old[sel]
-    hr = np.repeat(h[due], rows[due])[:, None]
-    for s in range(_N_STAGES + 1, len(_C)):
-        K[s] = surface.reeb(y0 + _combine(_A_COLS[s], K) * hr)
-    delta = y_new[sel] - y0
-    F = [delta, hr * K[0] - delta, 2 * delta - hr * (K[_N_STAGES] + K[0])]
-    F += [hr * _combine(col, K) for col in _D_COLS]
-
-    # every (time, row), time by time and row by row within a request
-    at = _ranges(first[step], rows[step])
-    x = np.repeat((when - t_old[step]) / h[step], rows[step])[:, None]
-    out = np.zeros((len(at), y0.shape[1]))
-    for i, f in enumerate(reversed(F)):
-        out += f[at]
-        out *= x if i % 2 == 0 else 1 - x
-    out += y0[at]
-    return {i: block for i, block in
-            zip(times, np.split(out, np.cumsum(sizes)[:-1]))}
-
-
-def flow(surface: StarshapedSurface, requests) -> List[np.ndarray]:
-    """Integrate xdot = R(x) for a batch of requests in lockstep.
-
-    Each request is ``(states, T, tol, times)``: on-surface states, shape
-    (d,) or (k, d), flowed forward for time T > 0 by DOP853 with
-    rtol = atol = tol.
-    Returns one array per request: the states at T, shaped like ``states``,
-    when ``times`` is None, else the dense output at ``times`` with a leading
-    time axis.  Step-size control is per request: all states of a request
-    share its steps, and a lone request takes the steps that
-    ``solve_ivp(method="DOP853")`` takes.  Each RK stage is one
-    ``surface.reeb`` call on the live rows of every request.  The accepted
-    steps of the requests with times are kept, and their dense output is
-    evaluated after the last step: three more ``surface.reeb`` calls for
-    the interpolant's extra stages, whatever the number of steps.
-
-    Raises ValueError unless every T > 0, OffSurfaceError for a start
-    state off the surface, HypothesisError where <nu, x> <= 0, and
-    IntegrationError when a step size underflows or is NaN.
-    """
-    states = [np.asarray(r[0], dtype=float) for r in requests]
-    stacked = [s.reshape(-1, s.shape[-1]) for s in states]
-    if not stacked:
-        return []
-    if not all(r[1] > 0 for r in requests):
-        raise ValueError("flow needs T > 0 for every request")
-    surface.require_on_surface(np.vstack(stacked))
-    times = {i: np.asarray(r[3], dtype=float)
-             for i, r in enumerate(requests) if r[3] is not None}
-    results: List[Optional[np.ndarray]] = [None] * len(requests)
-    batch = _Batch(surface, range(len(requests)), np.vstack(stacked),
-                   [r[1] for r in requests], [r[2] for r in requests],
-                   [len(s) for s in stacked],
-                   [r[3] is not None for r in requests])
-    kept = []                 # accepted steps of the requests with times
-    K = np.empty((_N_STAGES + 1,) + batch.y.shape)
-    while len(batch.ids):
-        t, y = batch.t, batch.y
-        min_step = 10 * (np.nextafter(t, np.inf) - t)
-        # written so that a NaN step size also stops the loop
-        if np.any(batch.rejected & ~(batch.h_abs >= min_step)):
-            raise IntegrationError("flow integration failed: Required step "
-                                   "size is less than spacing between "
-                                   "numbers.")
-        # a fresh step is at least min_step long; a retried one is not raised
-        h_abs = np.where(~batch.rejected & (batch.h_abs < min_step),
-                         min_step, batch.h_abs)
-        t_new = np.minimum(t + h_abs, batch.T)
-        h = t_new - t
-
-        hr = batch.per_row(h)
-        K = K[:, :len(y)]
-        K[0] = batch.f
-        for s in range(1, _N_STAGES):
-            K[s] = surface.reeb(y + _combine(_A_COLS[s], K) * hr)
-        y_new = y + hr * _combine(_B_COL, K)
-        K[_N_STAGES] = surface.reeb(y_new)
-
-        scale = batch.scale(np.maximum(np.abs(y), np.abs(y_new)))
-        e5 = batch.mean_sq(_combine(_E5_COL, K) / scale)
-        e3 = batch.mean_sq(_combine(_E3_COL, K) / scale)
-        # scipy's |h| |e5|^2 / sqrt((|e5|^2 + |e3|^2 / 100) size), in means
-        denom = e5 + 0.01 * e3
-        zero = denom == 0.0
-        err = np.where(zero, 0.0, h * e5 / np.sqrt(np.where(zero, 1.0, denom)))
-        accept = err < 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = _SAFETY * err ** _ERROR_EXPONENT
-        grow = np.where(err == 0.0, _MAX_FACTOR,
-                        np.where(ratio < _MAX_FACTOR, ratio, _MAX_FACTOR))
-        grow = np.where(batch.rejected, np.minimum(1.0, grow), grow)
-        # as Python's max(0.2, nan) = 0.2: a NaN error shrinks the step
-        shrink = np.where(ratio > _MIN_FACTOR, ratio, _MIN_FACTOR)
-        batch.h_abs = h * np.where(accept, grow, shrink)
-        batch.rejected = ~accept
-        finished = accept & (t_new >= batch.T)
-
-        store = accept & batch.dense
-        if store.any():
-            rows = store[batch.owner]
-            kept.append((batch.ids[store], t[store], t_new[store], h[store],
-                         batch.rows[store], y[rows], y_new[rows], K[:, rows]))
-
-        take = batch.per_row(accept)
-        batch.y = np.where(take, y_new, y)
-        batch.f = np.where(take, K[_N_STAGES], batch.f)
-        batch.t = np.where(accept, t_new, t)
-        if finished.any():
-            for j in np.flatnonzero(finished & ~batch.dense):
-                i = batch.ids[j]
-                results[i] = batch.y[batch.rows_of(j)].reshape(states[i].shape)
-            batch.keep(~finished)
-    if times:
-        for i, out in _dense_output(surface, times, kept).items():
-            results[i] = out.reshape((len(times[i]),) + states[i].shape)
-    return results
-
-
-# ---------------------------------------------------------------------------
 # multistart search
 # ---------------------------------------------------------------------------
 
@@ -408,13 +149,13 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
         if best < target:
             break
         phi = out[0]
-        R_here = surface.reeb(y)
+        R_here, R_phi = surface.reeb(np.vstack([y, phi]))
         Jac = np.zeros((dim + 1, dim + 1))
         for j in range(dim):
             dy = fd_states[j] - y
             Jac[:dim, j] = (out[j + 1] - phi) / fd - dy / fd
             Jac[dim, j] = dy @ R_here / fd
-        Jac[:dim, dim] = surface.reeb(phi)
+        Jac[:dim, dim] = R_phi
         F = np.append(phi - y, 0.0)
         JtJ = Jac.T @ Jac
         JtF = Jac.T @ F
@@ -624,7 +365,6 @@ def deduplicate(orbits: Sequence[ReebOrbit], tol: float) -> List[ReebOrbit]:
     seen_mults: List[set] = []
     for orb in remaining:
         pts = orb.resample(_ORBIT_SAMPLES)
-        placed = False
         for i, rep in enumerate(reps):
             k = orb.period / rep.period
             k_int = round(k)
@@ -632,9 +372,8 @@ def deduplicate(orbits: Sequence[ReebOrbit], tol: float) -> List[ReebOrbit]:
                 continue
             if _same_loop(pts, rep_points[i], tol):
                 seen_mults[i].add(k_int)
-                placed = True
                 break
-        if not placed:
+        else:
             reps.append(orb)
             rep_points.append(pts)
             seen_mults.append({1})

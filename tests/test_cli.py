@@ -236,6 +236,15 @@ class TestOdeCommands:
         assert abs(doc["F_end"] - R0 * A * math.exp((R0 - 1.0) / c)) < 1e-6
         assert doc["gap_margin"] > 0.0
 
+    def test_slow_approach_reaches_target(self, tmp_path, capsys):
+        # R0/c = 12: the gap falls below tol at s = 297, past S_HORIZON = 50
+        code, _, _ = run(capsys, "ode-connect", "--R0", "1.2", "--A", "0.3",
+                         "--c", "0.1", "--out", str(tmp_path))
+        assert code == 0
+        doc = load_report(tmp_path, "ode-connect")
+        assert abs(doc["F_end"] - doc["target"]) < 1e-6
+        assert doc["gap_margin"] > 0.0
+
     @pytest.mark.parametrize("R0, A, c", [
         (1.469734732992947, 0.6852010833099484, 0.47426797170192003),
         (1.3811799278482795, 0.4318310869857669, 0.44738549180328846),

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from reebpinch.radial_profile import CoreParams, build_profile, verify_profile
 from reebpinch.connecting_ode import IntegrationError
 from reebpinch import contact_dynamics as cd
-from reebpinch import orbit_search as osr
 from reebpinch.orbit_search import flow
 
 BASE = CoreParams(1.5, 0.5, 0.8)
@@ -185,13 +184,13 @@ def reference_dense_output(surface, batch, plans, dense, y_new, K, h):
     Kd = K[:, sel]
     y_old = batch.y[sel]
     hr = h[batch.owner[sel]][:, None]
-    for s in range(osr._N_STAGES + 1, len(osr._C)):
-        Kd[s] = surface.reeb(y_old + reference_combine(osr._A[s, :s], Kd)
+    for s in range(cd._N_STAGES + 1, len(cd._C)):
+        Kd[s] = surface.reeb(y_old + reference_combine(cd._A[s, :s], Kd)
                              * hr)
     delta = y_new[sel] - y_old
     F = [delta, hr * Kd[0] - delta,
-         2 * delta - hr * (Kd[osr._N_STAGES] + Kd[0])]
-    F += [hr * reference_combine(osr._D[i], Kd) for i in range(len(osr._D))]
+         2 * delta - hr * (Kd[cd._N_STAGES] + Kd[0])]
+    F += [hr * reference_combine(cd._D[i], Kd) for i in range(len(cd._D))]
     at = 0
     for j, lo, hi in dense:
         plan, r = plans[j], slice(at, at + batch.rows[j])
@@ -214,12 +213,13 @@ def reference_flow(surface, requests):
     plans = [None if r[3] is None else ReferenceOutputPlan(r[3], s.shape)
              for r, s in zip(requests, states)]
     results = [None] * len(requests)
-    batch = osr._Batch(surface, range(len(requests)), np.vstack(stacked),
-                       [r[1] for r in requests], [r[2] for r in requests],
-                       [len(s) for s in stacked],
-                       [p is not None for p in plans])
-    K = np.empty((len(osr._C),) + batch.y.shape)
-    N = osr._N_STAGES
+    batch = cd._Batch(surface.reeb, range(len(requests)),
+                      np.vstack(stacked),
+                      [r[1] for r in requests], [r[2] for r in requests],
+                      [len(s) for s in stacked],
+                      [p is not None for p in plans])
+    K = np.empty((len(cd._C),) + batch.y.shape)
+    N = cd._N_STAGES
     while len(batch.ids):
         t, y = batch.t, batch.y
         min_step = 10 * (np.nextafter(t, np.inf) - t)
@@ -231,23 +231,23 @@ def reference_flow(surface, requests):
         K = K[:, :len(y)]
         K[0] = batch.f
         for s in range(1, N):
-            K[s] = surface.reeb(y + reference_combine(osr._A[s, :s], K) * hr)
-        y_new = y + hr * reference_combine(osr._B, K)
+            K[s] = surface.reeb(y + reference_combine(cd._A[s, :s], K) * hr)
+        y_new = y + hr * reference_combine(cd._B, K)
         K[N] = surface.reeb(y_new)
         scale = batch.scale(np.maximum(np.abs(y), np.abs(y_new)))
-        e5 = batch.mean_sq(reference_combine(osr._E5, K) / scale)
-        e3 = batch.mean_sq(reference_combine(osr._E3, K) / scale)
+        e5 = batch.mean_sq(reference_combine(cd._E5, K) / scale)
+        e3 = batch.mean_sq(reference_combine(cd._E3, K) / scale)
         denom = e5 + 0.01 * e3
         zero = denom == 0.0
         err = np.where(zero, 0.0, h * e5 / np.sqrt(np.where(zero, 1.0, denom)))
         accept = err < 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = osr._SAFETY * err ** osr._ERROR_EXPONENT
-        grow = np.where(err == 0.0, osr._MAX_FACTOR,
-                        np.where(ratio < osr._MAX_FACTOR, ratio,
-                                 osr._MAX_FACTOR))
+            ratio = cd._SAFETY * err ** cd._ERROR_EXPONENT
+        grow = np.where(err == 0.0, cd._MAX_FACTOR,
+                        np.where(ratio < cd._MAX_FACTOR, ratio,
+                                 cd._MAX_FACTOR))
         grow = np.where(batch.rejected, np.minimum(1.0, grow), grow)
-        shrink = np.where(ratio > osr._MIN_FACTOR, ratio, osr._MIN_FACTOR)
+        shrink = np.where(ratio > cd._MIN_FACTOR, ratio, cd._MIN_FACTOR)
         batch.h_abs = h * np.where(accept, grow, shrink)
         batch.rejected = ~accept
         finished = accept & (t_new >= batch.T)
@@ -273,6 +273,29 @@ def reference_flow(surface, requests):
             plans = [p for p, done in zip(plans, finished) if not done]
             batch.keep(~finished)
     return results
+
+
+def reference_integrate_hamiltonian_orbit(profile, f, x0, c):
+    """integrate_hamiltonian_orbit by solve_ivp's DOP853, one point per
+    right-hand side evaluation, sampled by its dense output."""
+    from scipy.integrate import solve_ivp
+    x0 = np.asarray(x0, dtype=float)
+    x0 = x0 / np.linalg.norm(x0)
+    y0 = np.append(x0, c * float(f.value(x0)))
+
+    def rhs(t, y):
+        pt = y[:-1] / np.linalg.norm(y[:-1])
+        X = cd.graph_hamiltonian_field(profile, f, pt, float(y[-1]))
+        return np.append(X.sphere, X.radial)
+
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-12,
+                    atol=1e-12, dense_output=True)
+    assert sol.success
+    Y = sol.sol(np.arange(256) / 256).T
+    x = Y[:, :-1] / np.linalg.norm(Y[:, :-1], axis=-1, keepdims=True)
+    return cd.HamiltonianOrbit(
+        x=x, r=Y[:, -1],
+        closure_residual=float(np.linalg.norm(sol.y[:, -1] - y0)))
 
 
 class TestAmbientSpace:
@@ -772,6 +795,23 @@ class TestGraphHamiltonianField:
             cd.graph_hamiltonian_field(profile, graph_f,
                                        np.array([1.0, 0, 0, 0]), -0.1)
 
+    def test_stack_equals_rows(self, profile, graph_f, series, space):
+        # the DOP853 engine's batch contract: a row's field has the same
+        # bits whatever rows are stacked around it
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(9, 4))
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+        r = rng.uniform(0.4, 1.6, size=9)
+        for f in (graph_f, cd.radial_to_graph(series)[0],
+                  cd.GraphFunction.constant(space, BASE.R0)):
+            X = cd.graph_hamiltonian_field(profile, f, x, r)
+            assert X.sphere.shape == (9, 4) and X.radial.shape == (9,)
+            for k in range(len(x)):
+                row = cd.graph_hamiltonian_field(profile, f, x[k:k + 1],
+                                                 r[k:k + 1])
+                assert row.sphere.tobytes() == X.sphere[k:k + 1].tobytes()
+                assert row.radial.tobytes() == X.radial[k:k + 1].tobytes()
+
 
 class TestReebOnGraph:
     def test_constant_one(self, space):
@@ -804,6 +844,15 @@ class TestReebOnGraph:
                    - graph_f.df(x, e) * cd._abar(space, x, Rf.sphere)
                    + fv * space.omega(Rf.sphere, e) / math.pi)
             assert abs(val) < 1e-8
+
+
+def correspondence_cases(space, graph_f):
+    """(f, x0, c) of the four orbits of TestCorrespondence."""
+    e1, e3 = np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0, 0])
+    return [(cd.GraphFunction.constant(space, 1.0), e1, BASE.A),
+            (cd.GraphFunction.constant(space, BASE.R0), e3, BASE.B),
+            (graph_f, e1, BASE.A),
+            (graph_f, e3, BASE.A * math.exp(0.44 / BASE.c))]
 
 
 class TestCorrespondence:
@@ -851,6 +900,22 @@ class TestCorrespondence:
                 target = np.append(Rf.sphere, Rf.radial)
                 resid = max(resid, float(np.linalg.norm(zdot[k] - target)))
             assert abs(res.reeb_residual - resid) <= 1e-15
+
+    def test_engine_matches_solve_ivp(self, profile, space, graph_f):
+        for f, x0, c in correspondence_cases(space, graph_f):
+            got = cd.integrate_hamiltonian_orbit(profile, f, x0, c)
+            want = reference_integrate_hamiltonian_orbit(profile, f, x0, c)
+            assert np.max(np.abs(got.x - want.x)) <= 1e-12
+            assert np.max(np.abs(got.r - want.r)) <= 1e-12
+            assert abs(got.closure_residual
+                       - want.closure_residual) <= 1e-12
+            a = cd.orbit_correspondence(profile, f, got)
+            b = cd.orbit_correspondence(profile, f, want)
+            assert abs(a.c - b.c) <= 1e-12
+            assert abs(a.zeta.period - b.zeta.period) <= 1e-12
+            # the residual's spectral derivative multiplies a sample
+            # difference (about 1e-14 here) by up to 2 pi 128 / T
+            assert abs(a.reeb_residual - b.reeb_residual) <= 1e-11
 
     def test_rejects_non_orbit(self, profile, graph_f):
         rng = np.random.default_rng(12)
