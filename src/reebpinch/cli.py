@@ -269,10 +269,10 @@ def cmd_profile_build(args, cfg, t0) -> int:
     profile = build_profile(core)
     checks = verify_profile(profile)
     grid = np.geomspace(profile.shape.delta_bar / 2, profile.shape.r_flat, 2000)
-    lines = ["r,h,dh,action"]
-    h, dh, act = profile.h(grid), profile.dh(grid), profile.action(grid)
-    for vals in zip(grid, h, dh, act):
-        lines.append(",".join(repr(float(v)) for v in vals))
+    h, dh = profile.h(grid), profile.dh(grid)
+    # the action r h' - h as RadialProfile.action computes it
+    cols = (grid.tolist(), h.tolist(), dh.tolist(), (grid * dh - h).tolist())
+    lines = ["r,h,dh,action"] + ["%r,%r,%r,%r" % row for row in zip(*cols)]
     report = {
         "command": "profile-build",
         "params": {"R0": core.R0, "A": core.A, "c": core.c},

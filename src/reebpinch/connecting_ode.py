@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, OdeSolution, solve_ivp
 
 from .radial_profile import MonotoneHomotopy
 
@@ -37,10 +37,9 @@ __all__ = [
 ]
 
 S_FROZEN_START = -3.0   # stored extent of the frozen branch F == A
-S_HORIZON = 50.0        # least ODE end; near it the gap decays like e^{-c s/R0}
 _BARRIER_RTOL = 1e-12   # bisection width, 100x below the ODE tolerance 1e-10
 _ADJOINT_INNER_POINTS = 4001  # adjoint quadrature on [-1, 0], where psi varies
-_RTOL_FLOOR = 100 * float(np.finfo(float).eps)  # solve_ivp raises lower rtols to it
+_RTOL_FLOOR = 100 * float(np.finfo(float).eps)  # RK45 raises lower rtols to it
 
 
 class IntegrationError(RuntimeError):
@@ -89,6 +88,22 @@ def barrier_curve(H: MonotoneHomotopy, n: int = 1001) -> BarrierCurve:
 # trajectory
 # ---------------------------------------------------------------------------
 
+def _tail(core, s1, G1, s):
+    """G past the numerical end (s1, G1), where 1 - h_s'(e^G) is
+    (c/R0)(L - G) with L = log(R0 B): L - (L - G1) exp(-(c/R0)(s - s1))."""
+    L = math.log(core.R0 * core.B)
+    return L - (L - G1) * np.exp(core.c / core.R0 * (s1 - s))
+
+
+@dataclass(frozen=True)
+class _Steps:
+    """The numerical part of a trajectory: the ends t of RK45's accepted
+    steps from s = -1, G there, and the steps' dense solution."""
+    t: np.ndarray
+    G: np.ndarray
+    sol: OdeSolution
+
+
 @dataclass
 class ConnectingTrajectory:
     s_grid: np.ndarray
@@ -96,19 +111,22 @@ class ConnectingTrajectory:
     G: np.ndarray
     homotopy: MonotoneHomotopy
     step_stats: dict
-    _sol: object = field(default=None, repr=False)
+    _sol: _Steps = field(default=None, repr=False)
 
     def G_at(self, s):
-        """Dense log-radial coordinate; exactly log A on the frozen branch."""
+        """Dense log-radial coordinate: exactly log A on the frozen branch,
+        the RK45 solution up to its last step and the closed form after it."""
         s_in = np.asarray(s, dtype=float)
         s1 = np.atleast_1d(s_in)
-        logA = math.log(self.homotopy.profile.core.A)
-        out = np.full(s1.shape, logA)
-        live = s1 > -1.0
+        core = self.homotopy.profile.core
+        out = np.full(s1.shape, math.log(core.A))
+        t_last = self._sol.t[-1]
+        live = (s1 > -1.0) & (s1 <= t_last)
         if np.any(live):
-            # clamp past the last accepted step (early exit at the target level)
-            sq = np.minimum(s1[live], self._sol.t[-1])
-            out[live] = self._sol.sol(sq)[0]
+            out[live] = self._sol.sol(s1[live])[0]
+        tail = s1 > t_last
+        if np.any(tail):
+            out[tail] = _tail(core, t_last, self._sol.G[-1], s1[tail])
         return float(out[0]) if s_in.ndim == 0 else out
 
     def F_at(self, s):
@@ -118,43 +136,58 @@ class ConnectingTrajectory:
 
 def integrate_connecting(H: MonotoneHomotopy,
                          tol: float = 1e-10) -> ConnectingTrajectory:
-    """Integrate G' = 1 - h_s'(e^G) from the frozen branch until e^G reaches
-    R0 B, or out to s = max(S_HORIZON, 2 (R0/c) ln(1/tol))."""
+    """Integrate G' = 1 - h_s'(e^G) from the frozen branch up to the point
+    where the gap R0 B - e^G equals tol.
+
+    RK45 steps from s = -1 until the first accepted step that ends at s >= 0
+    on the rescaled log piece, e^G >= R0 e^{t0} with t0 the piece's left
+    edge.  From there on beta = 0 and 1 - h_s'(e^G) = (c/R0)(L - G) exactly,
+    L = log(R0 B), so the rest of the trajectory is the closed form that
+    ``G_at`` evaluates; its end point closes ``s_grid``."""
     if not (math.isfinite(tol) and tol >= _RTOL_FLOOR):
         raise ValueError(f"tol must be finite and >= {_RTOL_FLOOR!r} "
                          f"(the integrator's rtol floor), got {tol!r}")
     core = H.profile.core
     logA = math.log(core.A)
     target = core.R0 * core.B
+    # G where the rescaled log piece begins: log R0 plus the piece's left edge
+    G_log = math.log(core.R0) + next(pc.t0 for pc in H.profile.pieces
+                                     if pc.kind == "log")
 
     def rhs(s, y):
         return [1.0 - float(H.dr(s, math.exp(y[0])))]
 
-    def reached(s, y):
-        return (target - math.exp(y[0])) - tol
-    reached.terminal = True
-    reached.direction = -1
+    solver = RK45(rhs, -1.0, [logA], math.inf, rtol=tol, atol=tol,
+                  first_step=1e-3)
+    ts, Gs, dense = [-1.0], [logA], []
+    while not (ts[-1] >= 0.0 and Gs[-1] >= G_log):
+        message = solver.step()
+        if solver.status == "failed":
+            raise IntegrationError(f"integrator failed: {message}")
+        ts.append(solver.t)
+        Gs.append(solver.y[0])
+        dense.append(solver.dense_output())
+    steps = _Steps(np.array(ts), np.array(Gs), OdeSolution(ts, dense))
 
-    horizon = max(S_HORIZON, 2.0 * core.R0 / core.c * math.log(1.0 / tol))
-    sol = solve_ivp(rhs, (-1.0, horizon), [logA], method="RK45",
-                    rtol=tol, atol=tol, first_step=1e-3,
-                    dense_output=True, events=reached)
-    if not sol.success:
-        raise IntegrationError(f"integrator failed: {sol.message}")
-
+    s_tail = []     # stays empty if the steps already end within tol
+    if target - math.exp(Gs[-1]) > tol:
+        # the closed-form s where e^G = target - tol
+        s_tail = [ts[-1] + core.R0 / core.c * math.log(
+            (math.log(target) - Gs[-1]) / -math.log1p(-tol / target))]
     s_frozen = np.linspace(S_FROZEN_START, -1.0, 41)
-    s_grid = np.concatenate([s_frozen[:-1], sol.t])
-    G = np.concatenate([np.full(len(s_frozen) - 1, logA), sol.y[0]])
+    s_grid = np.concatenate([s_frozen[:-1], steps.t, s_tail])
+    G = np.concatenate([np.full(len(s_frozen) - 1, logA), steps.G,
+                        _tail(core, ts[-1], Gs[-1], np.array(s_tail))])
     F = np.exp(G)
     F[: len(s_frozen) - 1] = core.A  # frozen branch stored bit-exactly
 
     stats = {
-        "steps": int(len(sol.t)),
-        "s_final": float(sol.t[-1]),
+        "steps": len(ts),
+        "s_final": float(s_grid[-1]),
         "terminal_gap": float(target - F[-1]),
-        "rhs_evals": int(sol.nfev),
+        "rhs_evals": int(solver.nfev),
     }
-    traj = ConnectingTrajectory(s_grid, F, G, H, stats, _sol=sol)
+    traj = ConnectingTrajectory(s_grid, F, G, H, stats, _sol=steps)
 
     # invariant guard: the trajectory never overshoots the target level
     if np.any(F > target + 10 * tol) or np.any(F < core.A - 10 * tol):
@@ -163,7 +196,8 @@ def integrate_connecting(H: MonotoneHomotopy,
 
 
 def ode_residual(traj: ConnectingTrajectory) -> np.ndarray:
-    """|G'(s) - (1 - h_s'(e^G))| at every accepted step.
+    """|G'(s) - (1 - h_s'(e^G))| at every accepted RK45 step; the tail past
+    the last one is the ODE's exact solution.
 
     G' is recovered by a one-sided five-point differentiation of the dense
     interpolant (exact for its piecewise-quartic polynomials up to roundoff)
@@ -231,7 +265,10 @@ def uniqueness_probe(H: MonotoneHomotopy, s0: float, F0: float,
     cap = 10.0 * core.R0 * core.B
 
     def rhs(s, y):
-        return [-y[0] * (float(prof.dh(y[0])) - 1.0)]
+        # h' is 0 on the head plateau (0, delta_bar]; a stage that lands at
+        # F <= 0 reads that 0 too
+        F = y[0]
+        return [-F * ((float(prof.dh(F)) if F > 0.0 else 0.0) - 1.0)]
 
     def escape(s, y):
         return cap - y[0]

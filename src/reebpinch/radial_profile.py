@@ -39,7 +39,6 @@ __all__ = [
     "action_at",
     "periodic_levels",
     "rescaled",
-    "homotopy_eval",
     "forbidden_distance",
     "in_forbidden_set",
     "profile_to_json",
@@ -556,7 +555,8 @@ def default_shape(core: CoreParams) -> ShapeParams:
     """
     R0, A, c = core.R0, core.A, core.c
     B = core.B
-    eps = min(0.1, 0.5 * (2.0 - R0))
+    # R0 - eps > 1, so that the second descent crosses slope 1 at D
+    eps = min(0.1, 0.5 * (2.0 - R0), 0.5 * (R0 - 1.0))
     delta = B * math.expm1(0.5 * eps / c)   # so that k'(B+delta) = R0 + eps/2
     delta_bar = A / 10.0
 
@@ -758,13 +758,6 @@ class MonotoneHomotopy:
 
     def dsdr(self, s, r):
         return self.dbeta(s) * (self.profile.dh(r) - self.resc.dh(r))
-
-
-def homotopy_eval(H: MonotoneHomotopy, s: float, r: float):
-    """(h_s, dr h_s, drr h_s, ds dr h_s) at a point; domain r > 0."""
-    if np.any(np.asarray(r) <= 0.0):
-        raise ValueError("homotopy_eval requires r > 0")
-    return (H.value(s, r), H.dr(s, r), H.drr(s, r), H.dsdr(s, r))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ handling, report files, and deterministic serialization."""
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ import pytest
 from reebpinch import cli, connecting_ode, orbit_search
 from reebpinch.contact_dynamics import AmbientSpace, StarshapedSurface, \
     surface_to_json
+from test_radial_profile import _admissible_triples
 
 
 def run(capsys, *argv):
@@ -219,9 +220,14 @@ class TestOdeCommands:
                    for m in doc["ellipticity_sample"])
 
     def test_integration_error_exit_two(self, tmp_path, capsys, monkeypatch):
-        def failing(*args, **kwargs):
-            return SimpleNamespace(success=False, message="step size underflow")
-        monkeypatch.setattr(connecting_ode, "solve_ivp", failing)
+        class Failing:
+            def __init__(self, *args, **kwargs):
+                self.status = "running"
+
+            def step(self):
+                self.status = "failed"
+                return "step size underflow"
+        monkeypatch.setattr(connecting_ode, "RK45", Failing)
         code, _, err = run(capsys, "ode-connect", "--out", str(tmp_path))
         assert code == 2
         assert err.startswith("error: integrator failed: step size underflow")
@@ -237,7 +243,7 @@ class TestOdeCommands:
         assert doc["gap_margin"] > 0.0
 
     def test_slow_approach_reaches_target(self, tmp_path, capsys):
-        # R0/c = 12: the gap falls below tol at s = 297, past S_HORIZON = 50
+        # R0/c = 12: the gap falls to tol at s = 297, on the closed-form tail
         code, _, _ = run(capsys, "ode-connect", "--R0", "1.2", "--A", "0.3",
                          "--c", "0.1", "--out", str(tmp_path))
         assert code == 0
@@ -251,12 +257,40 @@ class TestOdeCommands:
         (1.50379444565624, 0.31302117090672255, 0.48835170082747936),
         (1.715884868055582, 0.4253363497555256, 0.9693316631019115),
         # c < ln(10)/8: the fixed interval [-10, -2] gave ratios of about 7
-        (1.3417368847876787, 0.7452869275584817, 0.24759034533053637)])
+        (1.3417368847876787, 0.7452869275584817, 0.24759034533053637),
+        # the backward probe from A - 1e-3 decays toward 0, and an RK45
+        # stage lands at F <= 0, where h' is the head plateau's 0
+        (1.078143390826881, 0.18169264495372772, 0.02958280500024557)])
     def test_ode_probe_zeta2_exact(self, tmp_path, capsys, R0, A, c):
         code, _, _ = run(capsys, "ode-probe", "--R0", repr(R0), "--A",
                          repr(A), "--c", repr(c), "--out", str(tmp_path))
         assert code == 0
         assert load_report(tmp_path, "ode-probe")["zeta2_coefficient"] == c
+
+
+class TestProfileConnectOutcomes:
+    """Outcome guard over the profile-connect inputs: the base triple and
+    the admissible points of a 256-point Sobol net (seed 1)."""
+
+    # triples of the net that build; it may only rise
+    MIN_BUILT = 56
+
+    def test_every_build_connects_and_probes(self, tmp_path, capsys):
+        built, failures = 0, []
+        out = str(tmp_path / "out")
+        for core in _admissible_triples():
+            flags = ["--R0", repr(core.R0), "--A", repr(core.A),
+                     "--c", repr(core.c), "--out", out]
+            # an exception escaping main fails the test here
+            codes = [run(capsys, cmd, *flags)[0]
+                     for cmd in ("profile-build", "ode-connect", "ode-probe")]
+            shutil.rmtree(out, ignore_errors=True)
+            if any(code not in (0, 1) for code in codes) or (
+                    codes[0] == 0 and codes != [0, 0, 0]):
+                failures.append((core, codes))
+            built += codes[0] == 0
+        assert not failures
+        assert built >= self.MIN_BUILT
 
 
 class TestSurfaceCommands:

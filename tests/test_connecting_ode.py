@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from reebpinch.radial_profile import CoreParams, MonotoneHomotopy, build_profile
 from reebpinch.connecting_ode import (
@@ -52,6 +53,38 @@ def reference_ode_residual(traj):
         Gp = float(coeffs @ traj.G_at(s + dh * np.arange(5))) / dh
         res[i] = abs(Gp - (1.0 - H.dr(s, traj.F_at(s))))
     return res
+
+
+# the base triple; four triples whose solve_ivp event (gap < tol) never fired,
+# so the old integration ran on to s = 158-275; and a slow approach, R0/c = 12
+TAIL_TRIPLES = [
+    (BASE.R0, BASE.A, BASE.c),
+    (1.5983450906351209, 0.5694433571770787, 0.4645218113437295),
+    (1.9147023661062121, 0.12178762163966894, 0.3211321420967579),
+    (1.3417368847876787, 0.7452869275584817, 0.24759034533053637),
+    (1.7351801451295614, 0.19149332866072655, 0.3285886896774173),
+    (1.2, 0.3, 0.1),
+]
+
+
+def reference_integrate_connecting(H, tol=TOL):
+    """The whole trajectory by solve_ivp's RK45: until the gap R0 B - e^G
+    falls to tol, or out to s = max(50, 2 (R0/c) ln(1/tol))."""
+    core = H.profile.core
+    target = core.R0 * core.B
+
+    def rhs(s, y):
+        return [1.0 - float(H.dr(s, math.exp(y[0])))]
+
+    def reached(s, y):
+        return (target - math.exp(y[0])) - tol
+    reached.terminal = True
+    reached.direction = -1
+
+    horizon = max(50.0, 2.0 * core.R0 / core.c * math.log(1.0 / tol))
+    return solve_ivp(rhs, (-1.0, horizon), [math.log(core.A)], method="RK45",
+                     rtol=tol, atol=tol, first_step=1e-3, dense_output=True,
+                     events=reached)
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +177,60 @@ class TestConnectingTrajectory:
             traj = integrate_connecting(MonotoneHomotopy(other), tol=TOL)
             with pytest.raises(ValueError):
                 verify_gap(traj, barrier)
+
+
+class TestClosedFormTail:
+    @pytest.fixture(scope="class", params=TAIL_TRIPLES)
+    def pair(self, request):
+        H = MonotoneHomotopy(build_profile(CoreParams(*request.param)))
+        return integrate_connecting(H, tol=TOL), reference_integrate_connecting(H)
+
+    def test_steps_are_the_reference_steps(self, pair):
+        traj, ref = pair
+        n = len(traj._sol.t)
+        assert traj.step_stats["steps"] == n < len(ref.t)
+        assert traj.step_stats["rhs_evals"] < ref.nfev
+        assert np.array_equal(traj._sol.t, ref.t[:n])
+        assert np.array_equal(traj._sol.G, ref.y[0, :n])
+        assert np.array_equal(traj.s_grid[40:-1], traj._sol.t)
+
+    def test_dense_solution_bit_identical_on_cutoff_interval(self, pair):
+        traj, ref = pair
+        s = np.linspace(-1.0, 0.0, 1001)[1:]
+        assert np.array_equal(traj.G_at(s), ref.sol(s)[0])
+
+    def test_tail_matches_reference(self, pair):
+        traj, ref = pair
+        # up to where the shorter of the two trajectories ends
+        end = min(traj.s_grid[-1], ref.t[-1])
+        s = np.linspace(traj._sol.t[-1], end, 2001)
+        assert np.max(np.abs(traj.G_at(s) - ref.sol(s)[0])) <= 1e-10
+
+    def test_gap_margin_equal(self, pair):
+        traj, ref = pair
+        barrier = barrier_curve(traj.homotopy, 1001)
+        inner = (barrier.s_grid > -1.0) & (barrier.s_grid < 0.0)
+        s = barrier.s_grid[inner]
+        margin = float(np.min(barrier.rho[inner] - np.exp(ref.sol(s)[0])))
+        assert verify_gap(traj, barrier) == margin
+
+    def test_ends_at_gap_tol(self, pair):
+        traj, _ = pair
+        core = traj.homotopy.profile.core
+        target = core.R0 * core.B
+        assert traj.s_grid[-1] > traj._sol.t[-1]
+        assert abs((target - traj.F[-1]) - TOL) <= 1e-13
+        assert traj.F_at(traj.s_grid[-1]) == traj.F[-1]
+
+    def test_numerical_part_ends_on_log_piece(self, pair):
+        traj, _ = pair
+        prof = traj.homotopy.profile
+        t_log = next(pc.t0 for pc in prof.pieces if pc.kind == "log")
+        t = traj._sol.t
+        assert t[-1] >= 0.0
+        # the first step end at s >= 0 on the rescaled log piece is the last
+        ends = (t >= 0.0) & (traj._sol.G >= math.log(prof.core.R0) + t_log)
+        assert np.flatnonzero(ends).tolist() == [len(t) - 1]
 
 
 class TestLinearizedData:

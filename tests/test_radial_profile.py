@@ -21,7 +21,6 @@ from reebpinch.radial_profile import (
     action_at,
     build_profile,
     forbidden_distance,
-    homotopy_eval,
     in_forbidden_set,
     log_core_eval,
     periodic_levels,
@@ -147,7 +146,7 @@ def reference_eval(p, r):
 def reference_default_shape(core):
     """default_shape as a linear scan: every candidate dl assembled."""
     R0 = core.R0
-    eps = min(0.1, 0.5 * (2.0 - R0))
+    eps = min(0.1, 0.5 * (2.0 - R0), 0.5 * (R0 - 1.0))
     delta = core.B * math.expm1(0.5 * eps / core.c)
     delta_bar = core.A / 10.0
 
@@ -304,6 +303,17 @@ class TestProfile:
 
     def test_energy_budget(self):
         assert BASE.window_width < 1.0
+
+    @pytest.mark.parametrize("triple", [
+        (1.0540273422375321, 0.9351542722433805, 0.048778899013996124),
+        (1.078143390826881, 0.18169264495372772, 0.02958280500024557)])
+    def test_slope_one_at_D_for_small_R0(self, triple):
+        # R0 < 1.1: eps = (R0 - 1)/2 keeps R0 - eps above 1, so the second
+        # descent still crosses slope 1, at D
+        p = build_profile(CoreParams(*triple))
+        assert p.shape.eps == 0.5 * (p.core.R0 - 1.0)
+        assert verify_profile(p).passed
+        assert float(p.dh(p.shape.D)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSlopeTable:
@@ -487,11 +497,6 @@ class TestHomotopy:
         expected = H.dbeta(s) * (profile.dh(r)
                                  - profile.dh(r / BASE.R0) / BASE.R0)
         assert float(H.dsdr(s, r)) == pytest.approx(float(expected), abs=1e-14)
-
-    def test_homotopy_eval_domain(self, profile):
-        H = MonotoneHomotopy(profile)
-        with pytest.raises(ValueError):
-            homotopy_eval(H, 0.0, -1.0)
 
 
 class TestSerialization:
