@@ -62,6 +62,9 @@ EXIT_USAGE = 1
 EXIT_FAIL = 2
 EXIT_NOT_APPLICABLE = 3
 
+# ode-connect passes when F_end = R0 B - tol lies within this of R0 B
+_F_END_BAND = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
@@ -291,6 +294,9 @@ def cmd_profile_build(args, cfg, t0) -> int:
 
 def cmd_ode_connect(args, cfg, t0) -> int:
     tol = float(cfg.get("tol", 1e-10))
+    if math.isfinite(tol) and tol >= _F_END_BAND:
+        raise ValueError(f"tol must be < {_F_END_BAND!r} (the F_end "
+                         f"acceptance band), got {tol!r}")
     core = _core(cfg)
     H = MonotoneHomotopy(build_profile(core))
     traj = integrate_connecting(H, tol=tol)
@@ -299,7 +305,7 @@ def cmd_ode_connect(args, cfg, t0) -> int:
     resid = ode_residual(traj)
     target = core.R0 * core.B
     f_end = float(traj.F[-1])
-    ok = abs(f_end - target) < 1e-6 and gap_margin > 0.0
+    ok = abs(f_end - target) < _F_END_BAND and gap_margin > 0.0
     report = {
         "command": "ode-connect",
         "params": {"R0": core.R0, "A": core.A, "c": core.c, "tol": tol},

@@ -22,7 +22,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate._ivp import dop853_coefficients
@@ -491,18 +491,19 @@ def _dense_output(field, times: dict, kept: list) -> dict:
             zip(times, np.split(out, np.cumsum(sizes)[:-1]))}
 
 
-def _integrate(field, requests) -> List[np.ndarray]:
+def _integrate(field, requests) -> list:
     """flow's DOP853 engine for ydot = field(y), on flow's requests and
     results.  ``field`` maps (N, d) rows to (N, d) rows, row by row; each
     RK stage, and each extra stage of the dense output, is one ``field``
-    call on the live rows of every request."""
+    call on the live rows of every request.  A request's state at T is the
+    step loop's own end state, so output times do not change it."""
     states = [np.asarray(r[0], dtype=float) for r in requests]
     stacked = [s.reshape(-1, s.shape[-1]) for s in states]
     if not stacked:
         return []
     times = {i: np.asarray(r[3], dtype=float)
              for i, r in enumerate(requests) if r[3] is not None}
-    results: List[Optional[np.ndarray]] = [None] * len(requests)
+    results: list = [None] * len(requests)
     batch = _Batch(field, range(len(requests)), np.vstack(stacked),
                    [r[1] for r in requests], [r[2] for r in requests],
                    [len(s) for s in stacked],
@@ -561,25 +562,28 @@ def _integrate(field, requests) -> List[np.ndarray]:
         batch.f = np.where(take, K[_N_STAGES], batch.f)
         batch.t = np.where(accept, t_new, t)
         if finished.any():
-            for j in np.flatnonzero(finished & ~batch.dense):
+            for j in np.flatnonzero(finished):
                 i = batch.ids[j]
                 results[i] = batch.y[batch.rows_of(j)].reshape(states[i].shape)
             batch.keep(~finished)
     if times:
         for i, out in _dense_output(field, times, kept).items():
-            results[i] = out.reshape((len(times[i]),) + states[i].shape)
+            results[i] = (results[i],
+                          out.reshape((len(times[i]),) + states[i].shape))
     return results
 
 
-def flow(surface: StarshapedSurface, requests) -> List[np.ndarray]:
+def flow(surface: StarshapedSurface, requests) -> list:
     """Integrate xdot = R(x) for a batch of requests in lockstep: the DOP853
     engine ``_integrate`` on ``surface.reeb``.
 
     Each request is ``(states, T, tol, times)``: on-surface states, shape
     (d,) or (k, d), flowed forward for time T > 0 with rtol = atol = tol.
-    Returns one array per request: the states at T, shaped like ``states``,
-    when ``times`` is None, else the dense output at ``times`` with a leading
-    time axis.  Step-size control is per request: all states of a request
+    Returns one result per request: the states at T, shaped like
+    ``states``, when ``times`` is None, else the pair (states at T, dense
+    output at ``times`` with a leading time axis).  The states at T are the
+    step loop's end state, bit for bit the same with or without ``times``.
+    Step-size control is per request: all states of a request
     share its steps, and a lone request takes the steps that
     ``solve_ivp(method="DOP853")`` takes.  Raises ValueError unless every
     T > 0, OffSurfaceError for a start state off the surface,
@@ -661,11 +665,6 @@ class ReebOrbit:
     closure_residual: float
     multiplicity: int = 1
     iterate_multiplicities: tuple = (1,)  # k of the k-fold iterates folded in
-
-    def resample(self, count: int) -> np.ndarray:
-        """Uniform-in-index resample of the point loop (for set comparisons)."""
-        idx = np.linspace(0, len(self.points) - 1, count).round().astype(int)
-        return self.points[idx]
 
 
 def orbit_to_csv(orbit: ReebOrbit) -> str:
@@ -834,7 +833,8 @@ def integrate_hamiltonian_orbit(profile: RadialProfile, f: GraphFunction,
                                 x0: np.ndarray, c: float) -> HamiltonianOrbit:
     """Integrate X_{h_f} over [0, 1] from (x0, c f(x0)) and sample uniformly:
     one request to flow's engine on rows (x, r), whose dense output at
-    t = k/256, k = 0..256, gives the samples and, at t = 1, the closure."""
+    t = k/256, k = 0..255, gives the samples and whose end state the
+    closure."""
     x0 = np.asarray(x0, dtype=float) / np.linalg.norm(x0)
     y0 = np.append(x0, c * float(f.value(x0)))
 
@@ -843,11 +843,11 @@ def integrate_hamiltonian_orbit(profile: RadialProfile, f: GraphFunction,
         X = graph_hamiltonian_field(profile, f, x, rows[:, -1])
         return np.column_stack([X.sphere, X.radial])
 
-    t = np.arange(_HAMILTONIAN_POINTS + 1) / _HAMILTONIAN_POINTS
-    Y = _integrate(field, [(y0, 1.0, _HAMILTONIAN_TOL, t)])[0]
-    x = Y[:-1, :-1] / np.linalg.norm(Y[:-1, :-1], axis=-1, keepdims=True)
-    return HamiltonianOrbit(x=x, r=Y[:-1, -1],
-                            closure_residual=float(np.linalg.norm(Y[-1] - y0)))
+    t = np.arange(_HAMILTONIAN_POINTS) / _HAMILTONIAN_POINTS
+    end, Y = _integrate(field, [(y0, 1.0, _HAMILTONIAN_TOL, t)])[0]
+    x = Y[:, :-1] / np.linalg.norm(Y[:, :-1], axis=-1, keepdims=True)
+    return HamiltonianOrbit(x=x, r=Y[:, -1],
+                            closure_residual=float(np.linalg.norm(end - y0)))
 
 
 def _fft_derivative(values: np.ndarray, period: float) -> np.ndarray:

@@ -116,7 +116,7 @@ def _local_minima(dist: np.ndarray) -> np.ndarray:
     return np.flatnonzero(left & right)
 
 
-def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
+def _lm_stage(surface, y, T, cfg, tol, fd, iters, target, sample):
     """Levenberg-Marquardt descent on (x, T) for phi_T(x) = x.
 
     The damping interpolates between gradient descent (robust far from an
@@ -127,7 +127,9 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
     together with the finite-difference (FD) block at it, so that an
     accepted trial already holds the flows for the next Jacobian and an LM
     iteration costs one flow round.  A rejected trial, or the last point of
-    the stage, discards its FD result.
+    the stage, discards its FD result.  With ``sample`` the residual
+    request carries the times linspace(0, T, 256), and the stage returns
+    the samples of the point it returns; else it returns None for them.
     """
     dim = surface.space.dim
     lo, hi = cfg.action_window
@@ -138,11 +140,17 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
         """The residual request at (y, T) and the FD request beside it; all
         FD states share one request, which starts with y itself."""
         fd_states = [surface.project(y + fd * e) for e in eye]
-        return fd_states, [(y, T, tol, None),
+        times = np.linspace(0.0, T, _ORBIT_SAMPLES) if sample else None
+        return fd_states, [(y, T, tol, times),
                            (np.vstack([y] + fd_states), T, tol, None)]
 
+    def residual(result):
+        """phi_T(y) and its samples (or None) from the residual result."""
+        return result if sample else (result, None)
+
     fd_states, requests = at(y, T)
-    phi, out = yield requests
+    first, out = yield requests
+    phi, samples = residual(first)
     best = float(np.linalg.norm(phi - y))
     lam = 1e-3
     for _ in range(iters):
@@ -171,10 +179,12 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
             y_try = surface.project(y + step[:dim])
             T_try = float(np.clip(T + step[dim], T_lo, T_hi))
             fd_try, requests = at(y_try, T_try)
-            phi_try, out_try = yield requests
+            first, out_try = yield requests
+            phi_try, samples_try = residual(first)
             F_try = phi_try - y_try
             if np.linalg.norm(F_try) < best:
                 y, T, fd_states, out = y_try, T_try, fd_try, out_try
+                samples = samples_try
                 best = float(np.linalg.norm(F_try))
                 lam = max(lam / 3.0, 1e-12)
                 improved = True
@@ -182,32 +192,7 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
             lam *= 5.0
         if not improved:
             break
-    return y, T, best
-
-
-def _with_samples(stage):
-    """Run an LM stage with a dense twin (y, T, _FLOW_TOL, linspace(0, T,
-    256)) beside each of its residual requests (y, T, tol, None), the
-    requests of a single state.  A twin is one more row in the round, and
-    it takes the residual request's steps.  Returns the stage's (y, T,
-    best) and the twin's samples at the (y, T) it returns."""
-    twins, out = [], None
-    while True:
-        try:
-            requests = stage.send(out)
-        except StopIteration as stop:
-            y, T, best = stop.value
-            break
-        extra = [(r[0], r[1], _FLOW_TOL,
-                  np.linspace(0.0, r[1], _ORBIT_SAMPLES))
-                 for r in requests if np.ndim(r[0]) == 1]
-        results = yield requests + extra
-        out = results[:len(requests)]
-        twins += [(r[0], r[1], pts)
-                  for r, pts in zip(extra, results[len(requests):])]
-    pts = next(pts for y_k, T_k, pts in reversed(twins)
-               if T_k == T and np.array_equal(y_k, y))
-    return y, T, best, pts
+    return y, T, best, samples
 
 
 def _candidate(surface, x0, T0, cfg):
@@ -217,17 +202,19 @@ def _candidate(surface, x0, T0, cfg):
     polish that drives the closure residual to the integration floor), then
     sampling of a converged orbit inside the window.  Every candidate that
     can converge, best < max(1e-3, closure_tol) after the wide stage, runs
-    the polish stage, and its rounds carry the samples of every point they
-    request (``_with_samples``).  Returns (converged, orbit or None).
+    the polish stage, whose residual requests carry the 256 sample times,
+    so the orbit's samples come with the point the stage returns.  Returns
+    (converged, orbit or None).
     """
-    y, T, best = yield from _lm_stage(surface, x0.copy(), T0, cfg, tol=1e-8,
-                                      fd=1e-5, iters=3 * _LM_ITERS,
-                                      target=1e-6)
+    y, T, best, _ = yield from _lm_stage(surface, x0.copy(), T0, cfg,
+                                         tol=1e-8, fd=1e-5,
+                                         iters=3 * _LM_ITERS, target=1e-6,
+                                         sample=False)
     if best >= max(1e-3, cfg.closure_tol):
         return False, None
-    y, T, best, samples = yield from _with_samples(_lm_stage(
+    y, T, best, samples = yield from _lm_stage(
         surface, y, T, cfg, tol=_FLOW_TOL, fd=1e-7, iters=_LM_ITERS,
-        target=max(1e-12, 1e-3 * cfg.closure_tol)))
+        target=max(1e-12, 1e-3 * cfg.closure_tol), sample=True)
     if best >= cfg.closure_tol:
         return False, None
     lo, hi = cfg.action_window
@@ -305,7 +292,7 @@ def find_closed_orbits(surface: StarshapedSurface,
     Ts = np.linspace(lo, hi, _TRIAL_PERIODS)
     scans = flow(surface, [(x0, hi, 1e-10, Ts) for x0 in seeds])
     owners, candidates = [], []
-    for k, (x0, pts) in enumerate(zip(seeds, scans)):
+    for k, (x0, (_, pts)) in enumerate(zip(seeds, scans)):
         for i in _local_minima(np.linalg.norm(pts - x0, axis=-1)):
             owners.append(k)
             candidates.append(_candidate(surface, x0, float(Ts[i]), cfg))
@@ -352,7 +339,8 @@ def _same_loop(P: np.ndarray, Q: np.ndarray, tol: float) -> bool:
 
 
 def deduplicate(orbits: Sequence[ReebOrbit], tol: float) -> List[ReebOrbit]:
-    """Group orbits by point-set match, drop iterates, keep minimal periods.
+    """Group orbits by the match of their point loops (``points``, 256
+    samples on a searched orbit), drop iterates, keep minimal periods.
 
     Iterates are detected by T close to k * T_min with integer k <= 8 on a
     matching point set; each representative records the multiplicities seen
@@ -361,21 +349,18 @@ def deduplicate(orbits: Sequence[ReebOrbit], tol: float) -> List[ReebOrbit]:
     """
     remaining = sorted(orbits, key=lambda o: (o.period, tuple(o.points[0])))
     reps: List[ReebOrbit] = []
-    rep_points: List[np.ndarray] = []
     seen_mults: List[set] = []
     for orb in remaining:
-        pts = orb.resample(_ORBIT_SAMPLES)
         for i, rep in enumerate(reps):
             k = orb.period / rep.period
             k_int = round(k)
             if not (1 <= k_int <= 8 and abs(k - k_int) < 1e-3):
                 continue
-            if _same_loop(pts, rep_points[i], tol):
+            if _same_loop(orb.points, rep.points, tol):
                 seen_mults[i].add(k_int)
                 break
         else:
             reps.append(orb)
-            rep_points.append(pts)
             seen_mults.append({1})
     for rep, mults in zip(reps, seen_mults):
         rep.iterate_multiplicities = tuple(sorted(mults))

@@ -509,6 +509,24 @@ class TestInvalidInput:
         assert f"got {float(tol)!r}" in err
         assert not list(tmp_path.glob("*_ode-connect.json"))
 
+    # F_end = R0 B - tol must lie within 1e-6 of R0 B, so no tol from 1e-6
+    # up can pass; at 0.5 the RK45 steps overshoot R0 B
+    @pytest.mark.parametrize("tol", ["0.5", "1e-6"])
+    def test_ode_tol_above_band_exits_one(self, tmp_path, capsys, tol):
+        code, _, err = run(capsys, "ode-connect", "--tol", tol,
+                           "--out", str(tmp_path))
+        assert code == 1
+        assert "tol must be < 1e-06 (the F_end acceptance band)" in err
+        assert f"got {float(tol)!r}" in err
+        assert not list(tmp_path.glob("*_ode-connect.json"))
+
+    def test_ode_tol_below_band_passes(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "ode-connect", "--tol", "1e-7",
+                         "--out", str(tmp_path))
+        assert code == 0
+        doc = load_report(tmp_path, "ode-connect")
+        assert abs(doc["F_end"] - doc["target"]) < 1e-6
+
 
 class TestReportRoundTrip:
     def test_summarize_spectrum(self, tmp_path, capsys):

@@ -269,7 +269,7 @@ def reference_flow(surface, requests):
             for j in np.flatnonzero(finished):
                 i, plan = batch.ids[j], plans[j]
                 end = batch.y[batch.rows_of(j)].reshape(states[i].shape)
-                results[i] = end if plan is None else plan.out
+                results[i] = end if plan is None else (end, plan.out)
             plans = [p for p, done in zip(plans, finished) if not done]
             batch.keep(~finished)
     return results
@@ -524,6 +524,13 @@ class TestReebField:
             S.reeb(pts)
 
 
+def result_bits(result):
+    """(shape, bytes) of each array in a flow result: the states at T, or
+    the pair (states at T, samples)."""
+    arrays = result if isinstance(result, tuple) else (result,)
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
 class TestFlow:
     def test_sphere_period(self, sphere):
         x = np.array([0.6, 0.0, 0.8, 0.0])
@@ -597,12 +604,34 @@ class TestFlow:
             batch = flow(surface, requests)
             for req, together in zip(requests, batch):
                 alone = flow(surface, [req])[0]
-                assert alone.shape == together.shape
-                assert np.array_equal(alone, together)
+                assert result_bits(alone) == result_bits(together)
             # a request's result is also unchanged by its position
             reordered = flow(surface, requests[::-1])[::-1]
-            assert all(np.array_equal(a, b)
+            assert all(result_bits(a) == result_bits(b)
                        for a, b in zip(batch, reordered))
+
+    def test_end_state_independent_of_times(self, ellipsoid, series):
+        """In a mixed batch, every request returns the end state of the same
+        request sent alone without times, and the samples of the same
+        request sent alone with times."""
+        for surface in (ellipsoid, series):
+            x = surface.point(cd.sphere_directions(4, 8, seed=6))
+            requests = [
+                (x[0], 3.0, 1e-8, np.linspace(0.0, 3.0, 256)),
+                (x[1:4], 4.5, 1e-12, None),
+                (x[4], 2.0, 1e-10, np.array([2.0, -0.3, 0.5, 0.5])),
+                (x[5:7], 1.0, 1e-9, np.array([])),
+                (x[7], 1.3, 1e-12, None),
+            ]
+            for req, got in zip(requests, flow(surface, requests)):
+                end = flow(surface, [req[:3] + (None,)])[0]
+                if req[3] is None:
+                    assert result_bits(got) == result_bits(end)
+                    continue
+                got_end, got_samples = got
+                assert result_bits(got_end) == result_bits(end)
+                _, samples = flow(surface, [req])[0]
+                assert result_bits(got_samples) == result_bits(samples)
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_dense_output_bitwise_equal_to_per_step(self, ellipsoid, series,
@@ -632,8 +661,7 @@ class TestFlow:
                 pairs = ((flow(surface, [r])[0],
                           reference_flow(surface, [r])[0]) for r in requests)
             for got, want in pairs:
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+                assert result_bits(got) == result_bits(want)
 
     # at 1e-4 solve_ivp rejects one step, which exercises the retry path
     @pytest.mark.parametrize("tol, T", [(1e-8, 3.0), (1e-12, 4.5),
@@ -657,7 +685,7 @@ class TestFlow:
             return reeb(surface, pts)
 
         monkeypatch.setattr(cd.StarshapedSurface, "reeb", counted)
-        dense = flow(ellipsoid, [(x, T, tol, mid)])[0]
+        _, dense = flow(ellipsoid, [(x, T, tol, mid)])[0]
         monkeypatch.undo()
         # one output time inside each solve_ivp step: the same steps make
         # both integrators evaluate the same stages.  solve_ivp evaluates
@@ -666,8 +694,8 @@ class TestFlow:
         assert calls[0] == sol.nfev - 3 * (len(sol.t) - 1) + 3
         assert np.max(np.abs(dense.reshape(len(mid), -1)
                              - sol.sol(mid).T)) < 1e-12
-        end, at_steps = flow(ellipsoid, [(x, T, tol, None),
-                                         (x, T, tol, sol.t)])
+        end, (_, at_steps) = flow(ellipsoid, [(x, T, tol, None),
+                                              (x, T, tol, sol.t)])
         assert np.max(np.abs(end.reshape(-1) - sol.y[:, -1])) < 1e-12
         assert np.max(np.abs(at_steps.reshape(len(sol.t), -1)
                              - sol.y.T)) < 1e-12

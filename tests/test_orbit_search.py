@@ -49,9 +49,9 @@ def reference_deduplicate(orbits, tol):
     symmetrized distance first and the period ratio second."""
     reps, mults = [], []
     for orb in sorted(orbits, key=lambda o: (o.period, tuple(o.points[0]))):
-        pts = orb.resample(256)
+        pts = orb.points
         for i, rep in enumerate(reps):
-            Q = rep.resample(256)
+            Q = rep.points
             if max(reference_loop_distance(pts, Q).max(),
                    reference_loop_distance(Q, pts).max()) < tol:
                 k = orb.period / rep.period
@@ -139,11 +139,15 @@ def one_request_per_round(stage):
     return run
 
 
-def separate_sampling(stage):
-    """Run an LM stage with no dense twins, then sample the (y, T) it
-    returns in a round of its own."""
-    y, T, best = yield from stage
-    (pts,) = yield [(y, T, osr._FLOW_TOL, np.linspace(0.0, T, 256))]
+def separate_sampling(surface, y, T, cfg, tol, fd, iters, target, sample):
+    """The two-round LM stage, one request per flow round, with no output
+    times; a sampling stage then samples the (y, T) it returns in a round
+    of its own."""
+    y, T, best = yield from one_request_per_round(reference_lm_stage)(
+        surface, y, T, cfg, tol, fd, iters, target)
+    if not sample:
+        return y, T, best, None
+    ((_, pts),) = yield [(y, T, osr._FLOW_TOL, np.linspace(0.0, T, 256))]
     return y, T, best, pts
 
 
@@ -284,9 +288,7 @@ class TestSpeculativeRounds:
         surface, cfg = search_case(name)
         fast = osr.find_closed_orbits(surface, cfg)
         # the two-round LM stage and a sampling round after the polish
-        monkeypatch.setattr(osr, "_lm_stage",
-                            one_request_per_round(reference_lm_stage))
-        monkeypatch.setattr(osr, "_with_samples", separate_sampling)
+        monkeypatch.setattr(osr, "_lm_stage", separate_sampling)
         slow = osr.find_closed_orbits(surface, cfg)
         assert fast.stats == slow.stats
         assert orbit_bits(fast) == orbit_bits(slow)
@@ -334,9 +336,9 @@ class TestSpeculativeRounds:
         res = osr.find_closed_orbits(ellipsoid, cfg)
         assert res.stats.converged == 4
         # one coarse scan and one round per LM iteration and stage start;
-        # the polish rounds carry the orbit samples.  The two-round LM
-        # stage took 18 flow calls here, and a sampling round of its own
-        # after the polish made 11
+        # the polish residual requests carry the orbit samples.  The
+        # two-round LM stage took 18 flow calls here, and a sampling round
+        # of its own after the polish made 11
         assert len(calls) == 10
         assert (res.stats.flow_rounds, res.stats.flow_requests) == (
             len(calls), sum(calls))
@@ -346,11 +348,12 @@ class TestSpeculativeRounds:
         y0 = ellipsoid.project(np.array([1.0, 0.01, 0.02, 0.0]))
         cfg = osr.SearchConfig(seeds=1, action_window=(math.pi,
                                                        1.44 * math.pi))
-        stage = osr._with_samples(osr._lm_stage(
-            ellipsoid, y0, 1.01 * math.pi, cfg, tol=1e-12, fd=1e-7,
-            iters=16, target=1e-12))
+        stage = osr._lm_stage(ellipsoid, y0, 1.01 * math.pi, cfg, tol=1e-12,
+                              fd=1e-7, iters=16, target=1e-12, sample=True)
         requests, rounds = next(stage), 1
         while True:
+            # no request is sent only for samples
+            assert len(requests) == 2
             try:
                 requests = stage.send(osr.flow(ellipsoid, requests))
                 rounds += 1
@@ -358,27 +361,34 @@ class TestSpeculativeRounds:
                 y, T, best, samples = stop.value
                 break
         assert rounds > 2 and best < 1e-9
-        alone = osr.flow(ellipsoid, [(y, T, 1e-12,
-                                      np.linspace(0.0, T, 256))])[0]
+        end, alone = osr.flow(ellipsoid, [(y, T, 1e-12,
+                                           np.linspace(0.0, T, 256))])[0]
         assert samples.tobytes() == alone.tobytes()
+        assert best == float(np.linalg.norm(end - y))
 
     def test_reeb_calls(self, monkeypatch, ellipsoid):
-        calls = [0]
+        calls, states = [0], [0]
         reeb = cd.StarshapedSurface.reeb
 
         def counted(surface, x):
             calls[0] += 1
+            states[0] += x.size // x.shape[-1]
             return reeb(surface, x)
 
         monkeypatch.setattr(cd.StarshapedSurface, "reeb", counted)
         cfg = osr.SearchConfig(seeds=4, action_window=(math.pi,
                                                        1.44 * math.pi))
-        osr.find_closed_orbits(ellipsoid, cfg)
+        res = osr.find_closed_orbits(ellipsoid, cfg)
         # 4091 with the interpolant's 3 extra stages evaluated step by
         # step and a separate sampling round; 3294 with every candidate in
         # every round, so that wide-stage iterations rode in polish rounds;
         # 2712 with two one-state Reeb calls per LM iteration
         assert calls[0] == 2688
+        # the polish residual requests carry the sample times; a dense
+        # twin beside each of them made 80 requests and 60132 Reeb states
+        assert res.stats.flow_rounds == 10
+        assert res.stats.flow_requests == 68
+        assert states[0] == 54780
 
 
 class TestDeduplicate:
