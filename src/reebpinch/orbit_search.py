@@ -44,6 +44,7 @@ _ORBIT_SAMPLES = 256
 _FLOW_TOL = 1e-12
 _TRIAL_PERIODS = 16    # coarse scan: step < lo/15 on a pinched window (hi < 2 lo)
 _LM_ITERS = 16         # polish-stage LM budget; the cheaper wide stage gets 3x
+_SEGMENTS = 4          # multiple-shooting segments of the polish stage
 _PERIOD_SLACK = 1e-8   # T >= pi R1^2 up to the period accuracy of the search
 
 
@@ -116,8 +117,8 @@ def _local_minima(dist: np.ndarray) -> np.ndarray:
     return np.flatnonzero(left & right)
 
 
-def _lm_stage(surface, y, T, cfg, tol, fd, iters, target, sample):
-    """Levenberg-Marquardt descent on (x, T) for phi_T(x) = x.
+def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
+    """The wide stage: Levenberg-Marquardt descent on (x, T) for phi_T(x) = x.
 
     The damping interpolates between gradient descent (robust far from an
     orbit) and Gauss-Newton (quadratic near one); the time-shift direction is
@@ -127,9 +128,12 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target, sample):
     together with the finite-difference (FD) block at it, so that an
     accepted trial already holds the flows for the next Jacobian and an LM
     iteration costs one flow round.  A rejected trial, or the last point of
-    the stage, discards its FD result.  With ``sample`` the residual
-    request carries the times linspace(0, T, 256), and the stage returns
-    the samples of the point it returns; else it returns None for them.
+    the stage, discards its FD result.  The residual request carries the
+    times T k/m, k = 1, ..., m - 1 (m = ``_SEGMENTS``), whose samples
+    start the polish stage's segments; output times leave the end state's
+    bits unchanged.  Returns (y, T, best, lam, starts): the point, its
+    closure residual, the damping the stage ended with and the samples of
+    the point at those times.
     """
     dim = surface.space.dim
     lo, hi = cfg.action_window
@@ -140,17 +144,12 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target, sample):
         """The residual request at (y, T) and the FD request beside it; all
         FD states share one request, which starts with y itself."""
         fd_states = [surface.project(y + fd * e) for e in eye]
-        times = np.linspace(0.0, T, _ORBIT_SAMPLES) if sample else None
+        times = T * np.arange(1, _SEGMENTS) / _SEGMENTS
         return fd_states, [(y, T, tol, times),
                            (np.vstack([y] + fd_states), T, tol, None)]
 
-    def residual(result):
-        """phi_T(y) and its samples (or None) from the residual result."""
-        return result if sample else (result, None)
-
     fd_states, requests = at(y, T)
-    first, out = yield requests
-    phi, samples = residual(first)
+    (phi, starts), out = yield requests
     best = float(np.linalg.norm(phi - y))
     lam = 1e-3
     for _ in range(iters):
@@ -179,11 +178,95 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target, sample):
             y_try = surface.project(y + step[:dim])
             T_try = float(np.clip(T + step[dim], T_lo, T_hi))
             fd_try, requests = at(y_try, T_try)
-            first, out_try = yield requests
-            phi_try, samples_try = residual(first)
+            (phi_try, starts_try), out_try = yield requests
             F_try = phi_try - y_try
             if np.linalg.norm(F_try) < best:
                 y, T, fd_states, out = y_try, T_try, fd_try, out_try
+                starts = starts_try
+                best = float(np.linalg.norm(F_try))
+                lam = max(lam / 3.0, 1e-12)
+                improved = True
+                break
+            lam *= 5.0
+        if not improved:
+            break
+    return y, T, best, lam, starts
+
+
+def _shooting_stage(surface, X, T, lam, cfg, tol, fd, iters, target):
+    """The polish stage: multiple-shooting Levenberg-Marquardt on the
+    segment starts X = (x_1, ..., x_m) and the period T.
+
+    The residuals are phi_{T/m}(x_i) - x_{i+1}, with x_{m+1} = x_1, plus
+    the wide stage's phase row at x_1; the closure residual is the norm of
+    the stacked segment mismatches.  Each segment is one residual request
+    and one FD request over T/m, so a point costs 2m requests in one flow
+    round and its Jacobian is block-cyclic.  The damping starts from
+    ``lam``.  Segment i's residual request carries the times of
+    linspace(0, T, 256) in [T i/m, T (i+1)/m) (the last also T itself),
+    shifted to its start.  Returns (X, T, best, samples): the point, its
+    closure residual and its 256 samples.
+    """
+    m, dim = X.shape
+    n = m * dim + 1
+    lo, hi = cfg.action_window
+    T_lo, T_hi = 0.25 * lo, hi + 0.5 * (hi - lo) + 1.0
+    eye = np.eye(dim)
+    nxt = np.roll(np.arange(m), -1)
+    segment = np.minimum(np.arange(_ORBIT_SAMPLES) * m // (_ORBIT_SAMPLES - 1),
+                         m - 1)
+
+    def at(X, T):
+        """Every segment's residual request, then every FD request; an FD
+        request starts with its segment start itself."""
+        fd_states = surface.project(X[:, None, :] + fd * eye)   # (m, dim, dim)
+        h = T / m
+        ts = np.linspace(0.0, T, _ORBIT_SAMPLES)
+        return fd_states, (
+            [(X[i], h, tol, ts[segment == i] - i * h) for i in range(m)]
+            + [(np.vstack([X[i], fd_states[i]]), h, tol, None)
+               for i in range(m)])
+
+    def mismatch(X, out):
+        """The stacked residual and the samples from the residual results."""
+        ends = np.array([end for end, _ in out[:m]])
+        return (ends - X[nxt]).ravel(), np.vstack([pts for _, pts in out[:m]])
+
+    fd_states, requests = at(X, T)
+    out = yield requests
+    F, samples = mismatch(X, out)
+    best = float(np.linalg.norm(F))
+    for _ in range(iters):
+        if best < target:
+            break
+        phi = np.array([block[0] for block in out[m:]])
+        R = surface.reeb(np.vstack([X[:1], phi]))
+        dX = fd_states - X[:, None, :]            # (m, dim FD steps, dim)
+        Jac = np.zeros((n, n))
+        for i in range(m):
+            rows, k = slice(i * dim, (i + 1) * dim), nxt[i]
+            Jac[rows, i * dim:(i + 1) * dim] = (out[m + i][1:] - phi[i]).T / fd
+            Jac[rows, k * dim:(k + 1) * dim] -= dX[k].T / fd
+            Jac[rows, -1] = R[1 + i] / m
+        Jac[-1, :dim] = dX[0] @ R[0] / fd
+        F = np.append((phi - X[nxt]).ravel(), 0.0)
+        JtJ = Jac.T @ Jac
+        JtF = Jac.T @ F
+        scale = np.trace(JtJ) / n
+        improved = False
+        for _ in range(8):
+            try:
+                step = np.linalg.solve(JtJ + lam * scale * np.eye(n), -JtF)
+            except np.linalg.LinAlgError:
+                lam *= 5.0
+                continue
+            X_try = surface.project(X + step[:-1].reshape(m, dim))
+            T_try = float(np.clip(T + step[-1], T_lo, T_hi))
+            fd_try, requests = at(X_try, T_try)
+            out_try = yield requests
+            F_try, samples_try = mismatch(X_try, out_try)
+            if np.linalg.norm(F_try) < best:
+                X, T, fd_states, out = X_try, T_try, fd_try, out_try
                 samples = samples_try
                 best = float(np.linalg.norm(F_try))
                 lam = max(lam / 3.0, 1e-12)
@@ -192,34 +275,34 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target, sample):
             lam *= 5.0
         if not improved:
             break
-    return y, T, best, samples
+    return X, T, best, samples
 
 
 def _candidate(surface, x0, T0, cfg):
     """One candidate's search as a generator of lists of flow requests.
 
-    Two-stage refinement (a cheap wide-basin descent, then a high-accuracy
-    polish that drives the closure residual to the integration floor), then
-    sampling of a converged orbit inside the window.  Every candidate that
-    can converge, best < max(1e-3, closure_tol) after the wide stage, runs
-    the polish stage, whose residual requests carry the 256 sample times,
-    so the orbit's samples come with the point the stage returns.  Returns
-    (converged, orbit or None).
+    A cheap wide-basin descent (``_lm_stage``), then a multiple-shooting
+    polish (``_shooting_stage``) that drives the stacked segment mismatch
+    to the integration floor, from the wide stage's point, samples and
+    damping; then the orbit is kept if its period lies in the window.
+    Every candidate that can converge, best < max(1e-3, closure_tol) after
+    the wide stage, runs the polish, whose residual requests carry the 256
+    sample times, so the orbit's samples come with the point the polish
+    returns.  Returns (converged, orbit or None).
     """
-    y, T, best, _ = yield from _lm_stage(surface, x0.copy(), T0, cfg,
-                                         tol=1e-8, fd=1e-5,
-                                         iters=3 * _LM_ITERS, target=1e-6,
-                                         sample=False)
+    y, T, best, lam, starts = yield from _lm_stage(
+        surface, x0.copy(), T0, cfg, tol=1e-8, fd=1e-5, iters=3 * _LM_ITERS,
+        target=1e-6)
     if best >= max(1e-3, cfg.closure_tol):
         return False, None
-    y, T, best, samples = yield from _lm_stage(
-        surface, y, T, cfg, tol=_FLOW_TOL, fd=1e-7, iters=_LM_ITERS,
-        target=max(1e-12, 1e-3 * cfg.closure_tol), sample=True)
+    X = np.vstack([y, surface.project(starts)])
+    _, T, best, samples = yield from _shooting_stage(
+        surface, X, T, lam, cfg, tol=_FLOW_TOL, fd=1e-7, iters=_LM_ITERS,
+        target=max(1e-12, 1e-3 * cfg.closure_tol))
     if best >= cfg.closure_tol:
         return False, None
     lo, hi = cfg.action_window
-    tol_pad = 10 * cfg.closure_tol
-    if not lo - tol_pad <= T <= hi + tol_pad:
+    if not lo - _PERIOD_SLACK <= T <= hi + _PERIOD_SLACK:
         return True, None
     ts = np.linspace(0.0, T, _ORBIT_SAMPLES)
     pts = surface.project(samples)

@@ -304,6 +304,21 @@ class TestSurfaceCommands:
         assert doc["search"]["converged"] == 4
         assert all(abs(o["T"] - math.pi) < 1e-8 for o in doc["orbits"])
 
+    def test_loose_tol_keeps_window(self, tmp_path, capsys):
+        # the window is padded by the period accuracy, not by --tol: with
+        # a 10 tol pad the orbits at 3.141593 and 4.523893 were accepted
+        surf = StarshapedSurface(AmbientSpace(2), np.zeros(4), "ellipsoid",
+                                 {"radii": [1.0, 1.2]})
+        path = tmp_path / "e12.json"
+        path.write_text(surface_to_json(surf))
+        code, _, _ = run(capsys, "surface-orbits", "--surface", str(path),
+                         "--seeds", "8", "--tol", "0.05", "--window",
+                         "3.5,4.2", "--out", str(tmp_path))
+        assert code == 0
+        doc = load_report(tmp_path, "surface-orbits")
+        assert doc["search"]["converged"] > 0
+        assert doc["orbits"] == []
+
     def test_surface_required(self, tmp_path, capsys):
         code, _, err = run(capsys, "surface-orbits", "--out", str(tmp_path))
         assert code == 1

@@ -1,5 +1,6 @@
 """Tests for closed-orbit detection, dedupe, and the theorem verifiers."""
 
+import functools
 import math
 
 import numpy as np
@@ -73,30 +74,42 @@ def circle_orbit(radius, plane, period, n=256):
     return cd.ReebOrbit(pts, period, period, 1e-12)
 
 
-def reference_lm_stage(surface, y, T, cfg, tol, fd, iters, target):
-    """The two-round LM stage: one request per yield, and the FD block at an
-    accepted point requested in the round after its trial."""
+def single_shooting_stage(surface, y, T, cfg, tol, fd, iters, target, sample):
+    """The single-shooting LM stage on (x, T) for phi_T(x) = x that served
+    as both the wide and the polish stage before the multiple-shooting
+    polish: each point's residual request and FD block in one round, and
+    with ``sample`` the residual request carries linspace(0, T, 256).
+    Returns (y, T, best, samples or None)."""
     dim = surface.space.dim
     lo, hi = cfg.action_window
     T_lo, T_hi = 0.25 * lo, hi + 0.5 * (hi - lo) + 1.0
     eye = np.eye(dim)
 
-    F = (yield (y, T, tol, None)) - y
-    best = float(np.linalg.norm(F))
+    def at(y, T):
+        fd_states = [surface.project(y + fd * e) for e in eye]
+        times = np.linspace(0.0, T, 256) if sample else None
+        return fd_states, [(y, T, tol, times),
+                           (np.vstack([y] + fd_states), T, tol, None)]
+
+    def residual(result):
+        return result if sample else (result, None)
+
+    fd_states, requests = at(y, T)
+    first, out = yield requests
+    phi, samples = residual(first)
+    best = float(np.linalg.norm(phi - y))
     lam = 1e-3
     for _ in range(iters):
         if best < target:
             break
-        fd_states = [surface.project(y + fd * e) for e in eye]
-        out = yield (np.vstack([y] + fd_states), T, tol, None)
         phi = out[0]
-        R_here = surface.reeb(y)
+        R_here, R_phi = surface.reeb(np.vstack([y, phi]))
         Jac = np.zeros((dim + 1, dim + 1))
         for j in range(dim):
             dy = fd_states[j] - y
             Jac[:dim, j] = (out[j + 1] - phi) / fd - dy / fd
             Jac[dim, j] = dy @ R_here / fd
-        Jac[:dim, dim] = surface.reeb(phi)
+        Jac[:dim, dim] = R_phi
         F = np.append(phi - y, 0.0)
         JtJ = Jac.T @ Jac
         JtF = Jac.T @ F
@@ -111,9 +124,13 @@ def reference_lm_stage(surface, y, T, cfg, tol, fd, iters, target):
                 continue
             y_try = surface.project(y + step[:dim])
             T_try = float(np.clip(T + step[dim], T_lo, T_hi))
-            F_try = (yield (y_try, T_try, tol, None)) - y_try
+            fd_try, requests = at(y_try, T_try)
+            first, out_try = yield requests
+            phi_try, samples_try = residual(first)
+            F_try = phi_try - y_try
             if np.linalg.norm(F_try) < best:
-                y, T = y_try, T_try
+                y, T, fd_states, out = y_try, T_try, fd_try, out_try
+                samples = samples_try
                 best = float(np.linalg.norm(F_try))
                 lam = max(lam / 3.0, 1e-12)
                 improved = True
@@ -121,34 +138,53 @@ def reference_lm_stage(surface, y, T, cfg, tol, fd, iters, target):
             lam *= 5.0
         if not improved:
             break
-    return y, T, best
+    return y, T, best, samples
 
 
-def one_request_per_round(stage):
-    """Run a stage that yields single requests under the protocol of lists
-    of requests, one request per flow round."""
-    def run(*args, **kwargs):
-        gen = stage(*args, **kwargs)
-        request = next(gen)
-        while True:
-            (out,) = yield [request]
-            try:
-                request = gen.send(out)
-            except StopIteration as stop:
-                return stop.value
-    return run
+def single_shooting_candidate(surface, x0, T0, cfg,
+                              stage=single_shooting_stage):
+    """A candidate whose polish is ``stage`` at 1e-12 over the whole
+    period, from a fresh damping of 1e-3."""
+    y, T, best, _ = yield from stage(
+        surface, x0.copy(), T0, cfg, tol=1e-8, fd=1e-5, iters=48,
+        target=1e-6, sample=False)
+    if best >= max(1e-3, cfg.closure_tol):
+        return False, None
+    y, T, best, samples = yield from stage(
+        surface, y, T, cfg, tol=1e-12, fd=1e-7, iters=16,
+        target=max(1e-12, 1e-3 * cfg.closure_tol), sample=True)
+    if best >= cfg.closure_tol:
+        return False, None
+    lo, hi = cfg.action_window
+    if not lo - 1e-8 <= T <= hi + 1e-8:
+        return True, None
+    pts = surface.project(samples)
+    action = float(np.trapezoid(surface.space.alpha(pts, surface.reeb(pts)),
+                                np.linspace(0.0, T, 256)))
+    return True, cd.ReebOrbit(points=pts, period=float(T), action=action,
+                              closure_residual=float(best), multiplicity=1)
 
 
-def separate_sampling(surface, y, T, cfg, tol, fd, iters, target, sample):
-    """The two-round LM stage, one request per flow round, with no output
-    times; a sampling stage then samples the (y, T) it returns in a round
-    of its own."""
-    y, T, best = yield from one_request_per_round(reference_lm_stage)(
-        surface, y, T, cfg, tol, fd, iters, target)
-    if not sample:
-        return y, T, best, None
-    ((_, pts),) = yield [(y, T, osr._FLOW_TOL, np.linspace(0.0, T, 256))]
-    return y, T, best, pts
+def run_alone(surface, stage):
+    """Run a stage generator to completion, one ``flow`` call per yield;
+    returns its result and the list of request lists it yielded."""
+    sent = [next(stage)]
+    while True:
+        try:
+            sent.append(stage.send(osr.flow(surface, sent[-1])))
+        except StopIteration as stop:
+            return stop.value, sent
+
+
+def one_at_a_time(surface, candidates):
+    """Every candidate runs to completion alone before the next starts."""
+    results, rounds, sent = [], 0, 0
+    for candidate in candidates:
+        result, requests = run_alone(surface, candidate)
+        results.append(result)
+        rounds += len(requests)
+        sent += sum(map(len, requests))
+    return results, rounds, sent
 
 
 def reference_lockstep(surface, candidates):
@@ -197,14 +233,15 @@ def corpus_surface(index):
 def search_case(name):
     """(surface, SearchConfig) of a search compared bit for bit: the
     pinching windows of two ellipsoids and of the unit sphere at 8 seeds,
-    and at 2 seeds the corpus surface on which no seed converges, whose LM
-    stages reject trials."""
-    if name == "corpus-2":
-        surface = corpus_surface(2)
+    corpus k at 4 seeds, and at 2 seeds corpus 2, on which no seed
+    converges and whose LM stages reject trials."""
+    if name.startswith("corpus-"):
+        index = int(name[len("corpus-"):])
+        surface = corpus_surface(index)
         R1, R2, _ = cd.pinch_radii(surface)
         return surface, osr.SearchConfig(
-            seeds=2, action_window=(0.9 * math.pi * R1 ** 2,
-                                    1.1 * math.pi * R2 ** 2))
+            seeds=2 if index == 2 else 4,
+            action_window=(0.9 * math.pi * R1 ** 2, 1.1 * math.pi * R2 ** 2))
     if name == "sphere":
         surface = cd.StarshapedSurface(cd.AmbientSpace(2), np.zeros(4),
                                        "sphere", {"R": 1.0})
@@ -280,15 +317,15 @@ class TestFindClosedOrbits:
 
 
 class TestSpeculativeRounds:
-    """Each LM trial point travels with its FD block in one flow round."""
+    """Each LM trial point travels with its FD blocks in one flow round."""
 
     @pytest.mark.parametrize("name", ["E(1,1.2)", "E(1,1.1,1.3)", "sphere",
                                       "corpus-2"])
     def test_bitwise_equal_to_sequential_reference(self, monkeypatch, name):
         surface, cfg = search_case(name)
         fast = osr.find_closed_orbits(surface, cfg)
-        # the two-round LM stage and a sampling round after the polish
-        monkeypatch.setattr(osr, "_lm_stage", separate_sampling)
+        # one candidate at a time, each to completion alone
+        monkeypatch.setattr(osr, "_lockstep", one_at_a_time)
         slow = osr.find_closed_orbits(surface, cfg)
         assert fast.stats == slow.stats
         assert orbit_bits(fast) == orbit_bits(slow)
@@ -303,6 +340,55 @@ class TestSpeculativeRounds:
         assert fast.stats == slow.stats
         assert fast.stats.flow_requests == slow.stats.flow_requests
         assert orbit_bits(fast) == orbit_bits(slow)
+
+    @pytest.mark.parametrize("name", ["E(1,1.2)", "E(1,1.1,1.3)", "sphere",
+                                      "corpus-2"])
+    def test_wide_stage_equal_to_single_shooting(self, monkeypatch, name):
+        # the polish starts from the point the single-shooting wide stage
+        # reaches, bit for bit: the segment start times leave it unchanged
+        surface, cfg = search_case(name)
+        wide = {}
+
+        def recorded(stage, tag):
+            def run(surface, y, T, cfg, **kwargs):
+                key = (y.tobytes(), T)
+                result = yield from stage(surface, y, T, cfg, **kwargs)
+                if kwargs["tol"] == 1e-8:
+                    wide.setdefault(key, {})[tag] = (
+                        result[0].tobytes(), result[1], result[2])
+                return result
+            return run
+
+        monkeypatch.setattr(osr, "_lm_stage", recorded(osr._lm_stage, "new"))
+        osr.find_closed_orbits(surface, cfg)
+        monkeypatch.setattr(osr, "_candidate", functools.partial(
+            single_shooting_candidate,
+            stage=recorded(single_shooting_stage, "old")))
+        osr.find_closed_orbits(surface, cfg)
+        assert wide
+        for both in wide.values():
+            assert both["new"] == both["old"]
+
+    @pytest.mark.parametrize("name", ["E(1,1.2)", "E(1,1.1,1.3)", "sphere",
+                                      "corpus-0"])
+    def test_same_orbits_as_single_shooting(self, monkeypatch, name):
+        surface, cfg = search_case(name)
+        new = osr.find_closed_orbits(surface, cfg)
+        monkeypatch.setattr(osr, "_candidate", single_shooting_candidate)
+        old = osr.find_closed_orbits(surface, cfg)
+        assert new.stats == old.stats
+        assert len(new.orbits) == len(old.orbits) > 0
+        unmatched = list(old.orbits)
+        for orb in new.orbits:
+            twin = next(o for o in unmatched
+                        if abs(o.action - orb.action) < 1e-9
+                        and osr._same_loop(o.points, orb.points,
+                                           cfg.dedupe_tol))
+            unmatched.remove(twin)
+            assert orb.points.shape == twin.points.shape
+            assert orb.closure_residual < cfg.closure_tol
+        assert (len(osr.deduplicate(new.orbits, cfg.dedupe_tol))
+                == len(osr.deduplicate(old.orbits, cfg.dedupe_tol)))
 
     def test_loosest_tolerance_first(self, monkeypatch, ellipsoid):
         tols = []
@@ -336,35 +422,47 @@ class TestSpeculativeRounds:
         res = osr.find_closed_orbits(ellipsoid, cfg)
         assert res.stats.converged == 4
         # one coarse scan and one round per LM iteration and stage start;
-        # the polish residual requests carry the orbit samples.  The
-        # two-round LM stage took 18 flow calls here, and a sampling round
-        # of its own after the polish made 11
+        # the wide residual requests carry the segment start times and the
+        # polish residual requests the orbit samples.  The two-round LM
+        # stage took 18 flow calls here, and a sampling round of its own
+        # after the polish made 11; the single-shooting polish took 10
+        # rounds and 68 requests
         assert len(calls) == 10
         assert (res.stats.flow_rounds, res.stats.flow_requests) == (
             len(calls), sum(calls))
 
     def test_polish_samples_equal_lone_flow(self, ellipsoid):
-        # a point near the e1 circle, so the stage takes a few rounds
+        # a point near the e1 circle, so both stages take a few rounds
         y0 = ellipsoid.project(np.array([1.0, 0.01, 0.02, 0.0]))
         cfg = osr.SearchConfig(seeds=1, action_window=(math.pi,
                                                        1.44 * math.pi))
-        stage = osr._lm_stage(ellipsoid, y0, 1.01 * math.pi, cfg, tol=1e-12,
-                              fd=1e-7, iters=16, target=1e-12, sample=True)
-        requests, rounds = next(stage), 1
-        while True:
-            # no request is sent only for samples
-            assert len(requests) == 2
-            try:
-                requests = stage.send(osr.flow(ellipsoid, requests))
-                rounds += 1
-            except StopIteration as stop:
-                y, T, best, samples = stop.value
-                break
-        assert rounds > 2 and best < 1e-9
-        end, alone = osr.flow(ellipsoid, [(y, T, 1e-12,
-                                           np.linspace(0.0, T, 256))])[0]
-        assert samples.tobytes() == alone.tobytes()
-        assert best == float(np.linalg.norm(end - y))
+        (y, T, _, lam, starts), _ = run_alone(ellipsoid, osr._lm_stage(
+            ellipsoid, y0, 1.01 * math.pi, cfg, tol=1e-8, fd=1e-5, iters=48,
+            target=1e-6))
+        m = osr._SEGMENTS
+        assert starts.shape == (m - 1, 4)
+        X0 = np.vstack([y, ellipsoid.project(starts)])
+        (X, T, best, samples), sent = run_alone(ellipsoid, osr._shooting_stage(
+            ellipsoid, X0, T, lam, cfg, tol=1e-12, fd=1e-7, iters=16,
+            target=1e-12))
+        # every round is m residual requests, then m FD blocks; no request
+        # is sent only for samples
+        assert len(sent) > 2 and best < 1e-9
+        for requests in sent:
+            assert len(requests) == 2 * m
+            assert all(r[3] is not None for r in requests[:m])
+            assert all(r[3] is None for r in requests[m:])
+        assert samples.shape == (256, 4)
+        times = np.linspace(0.0, T, 256)
+        segment = np.minimum(np.arange(256) * m // 255, m - 1)
+        ends = []
+        for i in range(m):
+            end, alone = osr.flow(ellipsoid, [(X[i], T / m, 1e-12,
+                                               times[segment == i]
+                                               - i * (T / m))])[0]
+            assert samples[segment == i].tobytes() == alone.tobytes()
+            ends.append(end - X[(i + 1) % m])
+        assert best == float(np.linalg.norm(np.ravel(ends)))
 
     def test_reeb_calls(self, monkeypatch, ellipsoid):
         calls, states = [0], [0]
@@ -382,13 +480,15 @@ class TestSpeculativeRounds:
         # 4091 with the interpolant's 3 extra stages evaluated step by
         # step and a separate sampling round; 3294 with every candidate in
         # every round, so that wide-stage iterations rode in polish rounds;
-        # 2712 with two one-state Reeb calls per LM iteration
-        assert calls[0] == 2688
-        # the polish residual requests carry the sample times; a dense
-        # twin beside each of them made 80 requests and 60132 Reeb states
+        # 2712 with two one-state Reeb calls per LM iteration; 2688 with
+        # the single-shooting polish over the whole period
+        assert calls[0] == 1733
+        # the single-shooting polish sent 68 requests and 54780 Reeb states
+        # in 10 rounds; a dense twin beside each polish residual request
+        # made 80 requests and 60132 states
         assert res.stats.flow_rounds == 10
-        assert res.stats.flow_requests == 68
-        assert states[0] == 54780
+        assert res.stats.flow_requests == 132
+        assert states[0] == 55063
 
 
 class TestDeduplicate:
