@@ -83,12 +83,16 @@ class SearchConfig:
 @dataclass
 class SearchStats:
     seeds: int = 0
-    converged: int = 0      # seeds with at least one converged candidate
-    accepted: int = 0       # orbits accepted before dedupe; can exceed seeds
-    # flow calls and requests, the coarse scan's included: run counters for
-    # the manifest, outside the report and outside equality
+    converged: int = 0      # seeds with a candidate in a polished cluster
+    accepted: int = 0       # orbits returned, at most one per cluster
+    # flow calls and requests, the coarse scan's included, the clusters of
+    # wide-converged candidates and the polish stages run, fallbacks
+    # included: run counters for the manifest, outside the report and
+    # outside equality
     flow_rounds: int = field(default=0, compare=False)
     flow_requests: int = field(default=0, compare=False)
+    clusters: int = field(default=0, compare=False)
+    polish_runs: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -130,10 +134,11 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
     iteration costs one flow round.  A rejected trial, or the last point of
     the stage, discards its FD result.  The residual request carries the
     times T k/m, k = 1, ..., m - 1 (m = ``_SEGMENTS``), whose samples
-    start the polish stage's segments; output times leave the end state's
-    bits unchanged.  Returns (y, T, best, lam, starts): the point, its
-    closure residual, the damping the stage ended with and the samples of
-    the point at those times.
+    start the polish stage's segments, then linspace(0, T, 256), whose
+    samples the cluster step compares; output times leave the end state's
+    bits unchanged.  Returns (y, T, best, lam, starts, samples): the
+    point, its closure residual, the damping the stage ended with and the
+    samples of the point at those times.
     """
     dim = surface.space.dim
     lo, hi = cfg.action_window
@@ -144,12 +149,13 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
         """The residual request at (y, T) and the FD request beside it; all
         FD states share one request, which starts with y itself."""
         fd_states = [surface.project(y + fd * e) for e in eye]
-        times = T * np.arange(1, _SEGMENTS) / _SEGMENTS
+        times = np.r_[T * np.arange(1, _SEGMENTS) / _SEGMENTS,
+                      np.linspace(0.0, T, _ORBIT_SAMPLES)]
         return fd_states, [(y, T, tol, times),
                            (np.vstack([y] + fd_states), T, tol, None)]
 
     fd_states, requests = at(y, T)
-    (phi, starts), out = yield requests
+    (phi, pts), out = yield requests
     best = float(np.linalg.norm(phi - y))
     lam = 1e-3
     for _ in range(iters):
@@ -178,11 +184,11 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
             y_try = surface.project(y + step[:dim])
             T_try = float(np.clip(T + step[dim], T_lo, T_hi))
             fd_try, requests = at(y_try, T_try)
-            (phi_try, starts_try), out_try = yield requests
+            (phi_try, pts_try), out_try = yield requests
             F_try = phi_try - y_try
             if np.linalg.norm(F_try) < best:
                 y, T, fd_states, out = y_try, T_try, fd_try, out_try
-                starts = starts_try
+                pts = pts_try
                 best = float(np.linalg.norm(F_try))
                 lam = max(lam / 3.0, 1e-12)
                 improved = True
@@ -190,7 +196,7 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
             lam *= 5.0
         if not improved:
             break
-    return y, T, best, lam, starts
+    return y, T, best, lam, pts[:_SEGMENTS - 1], pts[_SEGMENTS - 1:]
 
 
 def _shooting_stage(surface, X, T, lam, cfg, tol, fd, iters, target):
@@ -278,40 +284,68 @@ def _shooting_stage(surface, X, T, lam, cfg, tol, fd, iters, target):
     return X, T, best, samples
 
 
-def _candidate(surface, x0, T0, cfg):
-    """One candidate's search as a generator of lists of flow requests.
-
-    A cheap wide-basin descent (``_lm_stage``), then a multiple-shooting
-    polish (``_shooting_stage``) that drives the stacked segment mismatch
-    to the integration floor, from the wide stage's point, samples and
-    damping; then the orbit is kept if its period lies in the window.
-    Every candidate that can converge, best < max(1e-3, closure_tol) after
-    the wide stage, runs the polish, whose residual requests carry the 256
-    sample times, so the orbit's samples come with the point the polish
-    returns.  Returns (converged, orbit or None).
+def _clusters(wide, cfg) -> List[List[int]]:
+    """Group the wide-converged candidates, best < max(1e-3, closure_tol),
+    by ``deduplicate``'s loop rule at k = 1.  In (T, first sample) order a
+    candidate joins the first cluster whose first member meets three
+    conditions: both wide stages reached their target 1e-6, the periods
+    agree to 1e-3 relative, and the two 256-sample loops pass
+    ``_same_loop`` at ``dedupe_tol``; every other candidate starts a
+    cluster, so iterates stay apart and ``deduplicate`` still folds them.
+    ``wide`` holds ``_lm_stage``'s results.  Returns each cluster's
+    candidate indices in ascending wide ``best``.
     """
-    y, T, best, lam, starts = yield from _lm_stage(
-        surface, x0.copy(), T0, cfg, tol=1e-8, fd=1e-5, iters=3 * _LM_ITERS,
-        target=1e-6)
-    if best >= max(1e-3, cfg.closure_tol):
-        return False, None
-    X = np.vstack([y, surface.project(starts)])
-    _, T, best, samples = yield from _shooting_stage(
-        surface, X, T, lam, cfg, tol=_FLOW_TOL, fd=1e-7, iters=_LM_ITERS,
-        target=max(1e-12, 1e-3 * cfg.closure_tol))
-    if best >= cfg.closure_tol:
-        return False, None
+    order = sorted((i for i, w in enumerate(wide)
+                    if w[2] < max(1e-3, cfg.closure_tol)),
+                   key=lambda i: (wide[i][1], tuple(wide[i][5][0])))
+    clusters: List[List[int]] = []
+    for i in order:
+        _, T, best, _, _, loop = wide[i]
+        for members in clusters:
+            _, T0, best0, _, _, loop0 = wide[members[0]]
+            if (max(best, best0) < 1e-6 and abs(T / T0 - 1.0) < 1e-3
+                    and _same_loop(loop, loop0, cfg.dedupe_tol)):
+                members.append(i)
+                break
+        else:
+            clusters.append([i])
+    return [sorted(members, key=lambda i: wide[i][2]) for members in clusters]
+
+
+def _polish(surface, members, cfg):
+    """One cluster's polish as a generator of lists of flow requests.
+
+    ``members`` are wide-stage results (y, T, best, lam, starts, samples),
+    polished in turn until one converges, best < closure_tol: a
+    multiple-shooting polish (``_shooting_stage``) that drives the stacked
+    segment mismatch to the integration floor, from the member's point,
+    segment starts and damping.  After a failed polish the next member's
+    first requests go out in the very next round.  The polish's residual
+    requests carry the 256 sample times, so the orbit's samples come with
+    the point it returns; the orbit is kept if its period lies in the
+    window.  Returns (converged, orbit or None, polish stages run).
+    """
     lo, hi = cfg.action_window
-    if not lo - _PERIOD_SLACK <= T <= hi + _PERIOD_SLACK:
-        return True, None
-    ts = np.linspace(0.0, T, _ORBIT_SAMPLES)
-    pts = surface.project(samples)
-    # action = int alpha(xdot) dt, re-evaluated by quadrature (= T for Reeb flow)
-    R = surface.reeb(pts)
-    av = surface.space.alpha(pts, R)
-    action = float(np.trapezoid(av, ts))
-    return True, ReebOrbit(points=pts, period=float(T), action=action,
-                           closure_residual=float(best), multiplicity=1)
+    for runs, (y, T, _, lam, starts, _) in enumerate(members, start=1):
+        X = np.vstack([y, surface.project(starts)])
+        _, T, best, samples = yield from _shooting_stage(
+            surface, X, T, lam, cfg, tol=_FLOW_TOL, fd=1e-7, iters=_LM_ITERS,
+            target=max(1e-12, 1e-3 * cfg.closure_tol))
+        if best >= cfg.closure_tol:
+            continue
+        if not lo - _PERIOD_SLACK <= T <= hi + _PERIOD_SLACK:
+            return True, None, runs
+        ts = np.linspace(0.0, T, _ORBIT_SAMPLES)
+        pts = surface.project(samples)
+        # action = int alpha(xdot) dt, re-evaluated by quadrature (= T for
+        # Reeb flow)
+        R = surface.reeb(pts)
+        av = surface.space.alpha(pts, R)
+        action = float(np.trapezoid(av, ts))
+        return True, ReebOrbit(points=pts, period=float(T), action=action,
+                               closure_residual=float(best),
+                               multiplicity=1), runs
+    return False, None, len(members)
 
 
 def _lockstep(surface, candidates) -> tuple:
@@ -364,29 +398,41 @@ def find_closed_orbits(surface: StarshapedSurface,
     Low-discrepancy seed points crossed with a uniform trial-period grid;
     every local minimum of a seed's return distance on the grid is refined
     by damped Gauss-Newton with finite-difference flow sensitivities.  All
-    seeds' scans integrate in one batch, then the candidates in lockstep
-    rounds that take the loosest-tolerance requests first: a candidate
-    whose next requests are tighter waits, so the wide-stage iterations
-    of every candidate run before any polish-stage round.
+    seeds' scans integrate in one batch.  Then two lockstep passes: the
+    first runs every candidate's wide stage, and after ``_clusters`` has
+    grouped the converged candidates by orbit, the second runs one polish
+    per cluster (``_polish``).  Loosest tolerance first already ran every
+    wide round before any polish round, so the barrier between the passes
+    costs no round.  Each cluster returns at most one orbit;
+    ``deduplicate`` still folds iterates and near-twins afterwards.
     """
     lo, hi = cfg.action_window
     dirs = sphere_directions(surface.space.dim, cfg.seeds, cfg.rng_seed)
     seeds = surface.point(dirs)
     Ts = np.linspace(lo, hi, _TRIAL_PERIODS)
     scans = flow(surface, [(x0, hi, 1e-10, Ts) for x0 in seeds])
-    owners, candidates = [], []
+    owners, stages = [], []
     for k, (x0, (_, pts)) in enumerate(zip(seeds, scans)):
         for i in _local_minima(np.linalg.norm(pts - x0, axis=-1)):
             owners.append(k)
-            candidates.append(_candidate(surface, x0, float(Ts[i]), cfg))
-    results, rounds, sent = _lockstep(surface, candidates)
+            stages.append(_lm_stage(surface, x0.copy(), float(Ts[i]), cfg,
+                                    tol=1e-8, fd=1e-5, iters=3 * _LM_ITERS,
+                                    target=1e-6))
+    wide, wide_rounds, wide_sent = _lockstep(surface, stages)
+    clusters = _clusters(wide, cfg)
+    results, rounds, sent = _lockstep(
+        surface, [_polish(surface, [wide[i] for i in members], cfg)
+                  for members in clusters])
 
-    orbits = [orbit for _, orbit in results if orbit is not None]
+    orbits = [orbit for _, orbit, _ in results if orbit is not None]
     stats = SearchStats(seeds=cfg.seeds, accepted=len(orbits),
-                        converged=len({k for k, (ok, _) in zip(owners, results)
-                                       if ok}),
-                        flow_rounds=1 + rounds,
-                        flow_requests=len(seeds) + sent)
+                        converged=len({owners[i] for members, (ok, _, _)
+                                       in zip(clusters, results) if ok
+                                       for i in members}),
+                        flow_rounds=1 + wide_rounds + rounds,
+                        flow_requests=len(seeds) + wide_sent + sent,
+                        clusters=len(clusters),
+                        polish_runs=sum(runs for _, _, runs in results))
     orbits.sort(key=lambda o: (o.action, tuple(o.points[0])))
     return SearchResult(orbits, stats)
 
@@ -415,9 +461,12 @@ def _loop_distance(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 def _same_loop(P: np.ndarray, Q: np.ndarray, tol: float) -> bool:
     """Symmetrized Hausdorff distance below tol, measured point-to-polyline
-    so that phase offsets of the sampling do not register; the second
-    one-sided distance is skipped when the first already fails."""
-    return (float(_loop_distance(P, Q).max()) < tol
+    so that phase offsets of the sampling do not register.  Every 8th
+    point of P goes first: its largest distance is a lower bound on the
+    full one, so a pair it puts at or past tol is rejected exactly; a later
+    one-sided distance is skipped once an earlier one fails."""
+    return (float(_loop_distance(P[::8], Q).max()) < tol
+            and float(_loop_distance(P, Q).max()) < tol
             and float(_loop_distance(Q, P).max()) < tol)
 
 
@@ -565,7 +614,9 @@ class BoundReport:
 
     @property
     def passed(self) -> bool:
-        return (self.asserted and self.chain_ok
+        """Asserted, and every orbit meets the bound and its chain; with no
+        orbit there is nothing to pass."""
+        return (self.asserted and bool(self.entries) and self.chain_ok
                 and all(e.slack >= 0.0 for e in self.entries))
 
 

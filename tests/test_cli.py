@@ -376,14 +376,20 @@ class TestSurfaceCommands:
 
     def test_manifest_counts_flow_rounds(self, tmp_path, capsys,
                                          monkeypatch):
-        calls = []
-        flow = orbit_search.flow
+        calls, polished = [], []
+        flow, polish = orbit_search.flow, orbit_search._polish
 
         def counted(surface, requests):
             calls.append(len(requests))
             return flow(surface, requests)
 
+        def recorded(surface, members, cfg):
+            result = yield from polish(surface, members, cfg)
+            polished.append(result[2])
+            return result
+
         monkeypatch.setattr(orbit_search, "flow", counted)
+        monkeypatch.setattr(orbit_search, "_polish", recorded)
         code, _, _ = run(capsys, "verify-ellipsoid", "--radii", "1.0,1.2",
                          "--seeds", "8", "--out", str(tmp_path))
         assert code == 0
@@ -391,9 +397,12 @@ class TestSurfaceCommands:
                               .read_text())
         assert manifest["flow_rounds"] == len(calls) > 1
         assert manifest["flow_requests"] == sum(calls)
+        assert manifest["clusters"] == len(polished) >= 2
+        assert manifest["polish_runs"] == sum(polished)
         # run counters stay out of the report, which stays byte-identical
         report = Path(report_path(tmp_path, "verify-ellipsoid")).read_text()
-        assert "flow_" not in report
+        for counter in ("flow_", "clusters", "polish_runs"):
+            assert counter not in report
 
 
 class TestInvalidInput:

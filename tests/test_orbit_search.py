@@ -165,6 +165,42 @@ def single_shooting_candidate(surface, x0, T0, cfg,
                               closure_residual=float(best), multiplicity=1)
 
 
+def reference_candidate(surface, x0, T0, cfg):
+    """A whole candidate of the search that polished every wide-converged
+    candidate on its own: the wide stage, then the polish from its point,
+    segment starts and damping.  Returns (converged, orbit or None)."""
+    wide = yield from osr._lm_stage(surface, x0.copy(), T0, cfg, tol=1e-8,
+                                    fd=1e-5, iters=48, target=1e-6)
+    if wide[2] >= max(1e-3, cfg.closure_tol):
+        return False, None
+    ok, orbit, _ = yield from osr._polish(surface, [wide], cfg)
+    return ok, orbit
+
+
+def reference_find_closed_orbits(surface, cfg, candidate=reference_candidate):
+    """The search before the cluster step: every coarse-scan minimum runs
+    ``candidate`` to the end in one lockstep, so each wide-converged
+    candidate is polished and returns its own orbit; ``converged`` counts
+    the seeds with a converged candidate, ``accepted`` every orbit."""
+    lo, hi = cfg.action_window
+    seeds = surface.point(cd.sphere_directions(surface.space.dim, cfg.seeds,
+                                               cfg.rng_seed))
+    Ts = np.linspace(lo, hi, 16)
+    scans = osr.flow(surface, [(x0, hi, 1e-10, Ts) for x0 in seeds])
+    owners, candidates = [], []
+    for k, (x0, (_, pts)) in enumerate(zip(seeds, scans)):
+        for i in osr._local_minima(np.linalg.norm(pts - x0, axis=-1)):
+            owners.append(k)
+            candidates.append(candidate(surface, x0, float(Ts[i]), cfg))
+    results, rounds, sent = osr._lockstep(surface, candidates)
+    orbits = sorted((orbit for _, orbit in results if orbit is not None),
+                    key=lambda o: (o.action, tuple(o.points[0])))
+    return osr.SearchResult(orbits, osr.SearchStats(
+        seeds=cfg.seeds, accepted=len(orbits),
+        converged=len({k for k, (ok, _) in zip(owners, results) if ok}),
+        flow_rounds=1 + rounds, flow_requests=len(seeds) + sent))
+
+
 def run_alone(surface, stage):
     """Run a stage generator to completion, one ``flow`` call per yield;
     returns its result and the list of request lists it yielded."""
@@ -328,6 +364,9 @@ class TestSpeculativeRounds:
         monkeypatch.setattr(osr, "_lockstep", one_at_a_time)
         slow = osr.find_closed_orbits(surface, cfg)
         assert fast.stats == slow.stats
+        # both passes: the same clusters, polished by the same members
+        assert (fast.stats.clusters, fast.stats.polish_runs) == (
+            slow.stats.clusters, slow.stats.polish_runs)
         assert orbit_bits(fast) == orbit_bits(slow)
 
     @pytest.mark.parametrize("name", ["E(1,1.2)", "E(1,1.1,1.3)", "sphere",
@@ -339,6 +378,11 @@ class TestSpeculativeRounds:
         slow = osr.find_closed_orbits(surface, cfg)
         assert fast.stats == slow.stats
         assert fast.stats.flow_requests == slow.stats.flow_requests
+        # within each pass every request has one tolerance, so loosest
+        # first is every candidate in every round
+        assert fast.stats.flow_rounds == slow.stats.flow_rounds
+        assert (fast.stats.clusters, fast.stats.polish_runs) == (
+            slow.stats.clusters, slow.stats.polish_runs)
         assert orbit_bits(fast) == orbit_bits(slow)
 
     @pytest.mark.parametrize("name", ["E(1,1.2)", "E(1,1.1,1.3)", "sphere",
@@ -361,34 +405,78 @@ class TestSpeculativeRounds:
 
         monkeypatch.setattr(osr, "_lm_stage", recorded(osr._lm_stage, "new"))
         osr.find_closed_orbits(surface, cfg)
-        monkeypatch.setattr(osr, "_candidate", functools.partial(
+        reference_find_closed_orbits(surface, cfg, functools.partial(
             single_shooting_candidate,
             stage=recorded(single_shooting_stage, "old")))
-        osr.find_closed_orbits(surface, cfg)
         assert wide
         for both in wide.values():
             assert both["new"] == both["old"]
 
     @pytest.mark.parametrize("name", ["E(1,1.2)", "E(1,1.1,1.3)", "sphere",
                                       "corpus-0"])
-    def test_same_orbits_as_single_shooting(self, monkeypatch, name):
+    def test_same_orbits_as_single_shooting(self, name):
+        # every orbit the clustered multiple-shooting search returns is one
+        # that polishing every candidate by single shooting also returns
         surface, cfg = search_case(name)
         new = osr.find_closed_orbits(surface, cfg)
-        monkeypatch.setattr(osr, "_candidate", single_shooting_candidate)
-        old = osr.find_closed_orbits(surface, cfg)
-        assert new.stats == old.stats
-        assert len(new.orbits) == len(old.orbits) > 0
+        old = reference_find_closed_orbits(surface, cfg,
+                                           single_shooting_candidate)
+        assert new.stats.converged == old.stats.converged
+        assert 0 < len(new.orbits) <= len(old.orbits)
         unmatched = list(old.orbits)
         for orb in new.orbits:
             twin = next(o for o in unmatched
                         if abs(o.action - orb.action) < 1e-9
                         and osr._same_loop(o.points, orb.points,
                                            cfg.dedupe_tol))
-            unmatched.remove(twin)
+            unmatched = [o for o in unmatched if o is not twin]
             assert orb.points.shape == twin.points.shape
             assert orb.closure_residual < cfg.closure_tol
         assert (len(osr.deduplicate(new.orbits, cfg.dedupe_tol))
                 == len(osr.deduplicate(old.orbits, cfg.dedupe_tol)))
+
+    @pytest.mark.parametrize("name", [
+        "E(1,1.2)", "E(1,1.1,1.3)", "sphere", "corpus-0", "corpus-2",
+        "corpus-14", "corpus-18"])
+    def test_same_outcome_as_polishing_every_candidate(self, monkeypatch,
+                                                       name):
+        surface, _ = search_case(name)
+        new = osr.verify_pinching_theorem(surface, seeds=16)
+        monkeypatch.setattr(osr, "find_closed_orbits",
+                            reference_find_closed_orbits)
+        old = osr.verify_pinching_theorem(surface, seeds=16)
+        assert new.distinct_count == old.distinct_count
+        assert new.degenerate_levels == old.degenerate_levels
+        assert new.passed == old.passed
+        assert new.stats.converged == old.stats.converged
+        assert new.stats.accepted <= old.stats.accepted
+        assert [o.action for o in new.orbits] == pytest.approx(
+            [o.action for o in old.orbits], rel=0, abs=1e-9)
+
+    def test_fallback_member_in_same_pass(self, ellipsoid):
+        # a member whose polish fails, ahead of one that converges: the
+        # cluster returns the second member's orbit, and the second
+        # polish starts in the round right after the first one ends
+        cfg = osr.SearchConfig(seeds=1, action_window=(math.pi,
+                                                       1.44 * math.pi))
+        good, _ = run_alone(ellipsoid, osr._lm_stage(
+            ellipsoid, ellipsoid.project(np.array([1.0, 0.01, 0.02, 0.0])),
+            1.01 * math.pi, cfg, tol=1e-8, fd=1e-5, iters=48, target=1e-6))
+        # the same wide result with a damping so large that 16 polish
+        # iterations barely move it
+        bad = good[:3] + (1e12,) + good[4:]
+        alone = [osr._lockstep(ellipsoid, [osr._polish(ellipsoid, [m], cfg)])
+                 for m in (bad, good)]
+        assert alone[0][0] == [(False, None, 1)]
+        (ok, orbit, runs), = alone[1][0]
+        assert ok and orbit is not None and runs == 1
+        [(ok, both, runs)], rounds, sent = osr._lockstep(
+            ellipsoid, [osr._polish(ellipsoid, [bad, good], cfg)])
+        assert ok and runs == 2
+        assert both.points.tobytes() == orbit.points.tobytes()
+        assert (both.period, both.action) == (orbit.period, orbit.action)
+        assert rounds == alone[0][1] + alone[1][1]
+        assert sent == alone[0][2] + alone[1][2]
 
     def test_loosest_tolerance_first(self, monkeypatch, ellipsoid):
         tols = []
@@ -423,11 +511,14 @@ class TestSpeculativeRounds:
         assert res.stats.converged == 4
         # one coarse scan and one round per LM iteration and stage start;
         # the wide residual requests carry the segment start times and the
-        # polish residual requests the orbit samples.  The two-round LM
-        # stage took 18 flow calls here, and a sampling round of its own
-        # after the polish made 11; the single-shooting polish took 10
-        # rounds and 68 requests
+        # loop samples the cluster step compares, and the polish residual
+        # requests the orbit samples.  The two-round LM stage took 18 flow
+        # calls here, and a sampling round of its own after the polish made
+        # 11; the single-shooting polish took 10 rounds and 68 requests,
+        # and polishing every candidate 10 rounds and 132 requests: the
+        # barrier between the wide and the polish pass costs no round
         assert len(calls) == 10
+        assert (res.stats.clusters, res.stats.polish_runs) == (2, 2)
         assert (res.stats.flow_rounds, res.stats.flow_requests) == (
             len(calls), sum(calls))
 
@@ -436,7 +527,7 @@ class TestSpeculativeRounds:
         y0 = ellipsoid.project(np.array([1.0, 0.01, 0.02, 0.0]))
         cfg = osr.SearchConfig(seeds=1, action_window=(math.pi,
                                                        1.44 * math.pi))
-        (y, T, _, lam, starts), _ = run_alone(ellipsoid, osr._lm_stage(
+        (y, T, _, lam, starts, _), _ = run_alone(ellipsoid, osr._lm_stage(
             ellipsoid, y0, 1.01 * math.pi, cfg, tol=1e-8, fd=1e-5, iters=48,
             target=1e-6))
         m = osr._SEGMENTS
@@ -481,14 +572,16 @@ class TestSpeculativeRounds:
         # step and a separate sampling round; 3294 with every candidate in
         # every round, so that wide-stage iterations rode in polish rounds;
         # 2712 with two one-state Reeb calls per LM iteration; 2688 with
-        # the single-shooting polish over the whole period
-        assert calls[0] == 1733
+        # the single-shooting polish over the whole period; 1733 with the
+        # multiple-shooting polish run on every wide-converged candidate
+        assert calls[0] == 1727
         # the single-shooting polish sent 68 requests and 54780 Reeb states
         # in 10 rounds; a dense twin beside each polish residual request
-        # made 80 requests and 60132 states
+        # made 80 requests and 60132 states; polishing all 4 candidates
+        # rather than one per cluster, 132 requests and 55063 states
         assert res.stats.flow_rounds == 10
-        assert res.stats.flow_requests == 132
-        assert states[0] == 55063
+        assert res.stats.flow_requests == 84
+        assert states[0] == 36843
 
 
 class TestDeduplicate:
@@ -537,6 +630,27 @@ class TestDeduplicate:
                 assert any(rep.points is pts
                            and rep.iterate_multiplicities == mults
                            for pts, mults in expected)
+
+    @pytest.mark.parametrize("name", ["sphere", "corpus-2", "corpus-14"])
+    def test_cheap_reject_decides_as_full_test(self, monkeypatch, name):
+        # every pair the cluster step and deduplicate compare gets the
+        # decision of the two full one-sided distances
+        surface, _ = search_case(name)
+        pairs = []
+        same_loop = osr._same_loop
+
+        def recorded(P, Q, tol):
+            pairs.append((P, Q, tol))
+            return same_loop(P, Q, tol)
+
+        monkeypatch.setattr(osr, "_same_loop", recorded)
+        osr.verify_pinching_theorem(surface, seeds=16)
+        decisions = [same_loop(P, Q, tol) for P, Q, tol in pairs]
+        assert decisions == [
+            max(osr._loop_distance(P, Q).max(),
+                osr._loop_distance(Q, P).max()) < tol
+            for P, Q, tol in pairs]
+        assert False in decisions
 
     def test_sphere_family_not_merged(self, sphere_result):
         # distinct great circles share the action but not the point set
@@ -624,6 +738,12 @@ class TestPeriodBound:
         assert rep.passed
         for e in rep.entries:
             assert e.period >= math.pi - 1e-8
+
+    def test_no_orbit_does_not_pass(self, ellipsoid):
+        # the hypothesis holds, but a bound over no orbit checks nothing
+        rep = osr.verify_period_bound(ellipsoid, [], 1.0)
+        assert rep.asserted
+        assert rep.passed is False
 
     def test_chain_links_ordered(self, sphere, sphere_result):
         rep = osr.verify_period_bound(sphere, sphere_result.orbits, 1.0)
