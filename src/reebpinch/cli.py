@@ -114,8 +114,8 @@ def _finish(args, cfg: dict, report: dict, csvs: dict, t_start: float,
             text: str, stats=None) -> str:
     """Write report, plot CSVs and the manifest, then print the report JSON
     (--json) or the one-line summary text; returns the config hash.  The
-    manifest also carries the flow rounds and requests, the clusters and
-    the polish runs of a search's ``stats``."""
+    manifest also carries the flow rounds and requests, the clusters, the
+    polish runs and the failed clusters of a search's ``stats``."""
     tag = args.command
     h = config_hash({"command": tag, **cfg})
     os.makedirs(args.out, exist_ok=True)
@@ -131,6 +131,7 @@ def _finish(args, cfg: dict, report: dict, csvs: dict, t_start: float,
         manifest["flow_requests"] = stats.flow_requests
         manifest["clusters"] = stats.clusters
         manifest["polish_runs"] = stats.polish_runs
+        manifest["failed_clusters"] = stats.failed_clusters
     _atomic_write(os.path.join(args.out, f"{h}_manifest.json"),
                   _dumps17(manifest) + "\n")
     print(_dumps17(report) if args.json else text)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -167,11 +168,26 @@ def _compile_series(dim: int, R: float, terms) -> tuple:
     return factors, present, C
 
 
+def _require_area(name: str, r: float) -> None:
+    """A size r whose pi r^2, the action of a circle of radius r, is a
+    finite normal float."""
+    try:
+        area = math.pi * r ** 2
+    except OverflowError:
+        area = math.inf
+    if not sys.float_info.min <= area < math.inf:
+        raise ValueError(f"{name} value {r!r} is out of range: pi r^2 "
+                         f"must be a finite normal float, got {area!r}")
+
+
 def _require_positive(name: str, value, shape: tuple) -> None:
+    """Finite sizes > 0 of the given shape, each passing ``_require_area``."""
     v = np.asarray(value, dtype=float)
     if v.shape != shape or not np.all(np.isfinite(v) & (v > 0)):
         raise ValueError(f"{name} must be finite and > 0 with shape {shape}, "
                          f"got {v.tolist()}")
+    for r in v.ravel().tolist():
+        _require_area(name, r)
 
 
 @dataclass(frozen=True)
@@ -182,9 +198,9 @@ class StarshapedSurface:
     "radial_series" (params: R and a list of SeriesTerm perturbations,
     rho = R (1 + sum terms)) or "sphere" (params: R; the series with no
     terms).  Construction raises ValueError for a radius or R that is not
-    finite and positive, a center that is not 2n finite numbers, a term
-    index that is not an integer in 0..2n-1, or a coefficient that is a
-    boolean or not finite.
+    finite and positive or whose pi r^2 is not a finite normal float, a
+    center that is not 2n finite numbers, a term index that is not an
+    integer in 0..2n-1, or a coefficient that is a boolean or not finite.
     """
 
     space: AmbientSpace

@@ -20,6 +20,7 @@ from .contact_dynamics import (
     ReebOrbit,
     StarshapedSurface,
     _fft_derivative,
+    _require_area,
     flow,
     hypothesis_margin,
     pinch_radii,
@@ -42,6 +43,7 @@ __all__ = [
 
 _ORBIT_SAMPLES = 256
 _FLOW_TOL = 1e-12
+_WIDE_TOL = 1e-8       # the coarse scan's and the wide stage's flow tolerance
 _TRIAL_PERIODS = 16    # coarse scan: step < lo/15 on a pinched window (hi < 2 lo)
 _LM_ITERS = 16         # polish-stage LM budget; the cheaper wide stage gets 3x
 _SEGMENTS = 4          # multiple-shooting segments of the polish stage
@@ -86,13 +88,14 @@ class SearchStats:
     converged: int = 0      # seeds with a candidate in a polished cluster
     accepted: int = 0       # orbits returned, at most one per cluster
     # flow calls and requests, the coarse scan's included, the clusters of
-    # wide-converged candidates and the polish stages run, fallbacks
-    # included: run counters for the manifest, outside the report and
-    # outside equality
+    # wide-converged candidates, the polish stages run, fallbacks included,
+    # and the clusters whose every polish failed: run counters for the
+    # manifest, outside the report and outside equality
     flow_rounds: int = field(default=0, compare=False)
     flow_requests: int = field(default=0, compare=False)
     clusters: int = field(default=0, compare=False)
     polish_runs: int = field(default=0, compare=False)
+    failed_clusters: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -121,6 +124,17 @@ def _local_minima(dist: np.ndarray) -> np.ndarray:
     return np.flatnonzero(left & right)
 
 
+def _wide_converged(best: float, cfg) -> bool:
+    """A wide stage's closure residual small enough to polish."""
+    return best < max(1e-3, cfg.closure_tol)
+
+
+def _predicts_close(F, Jac, step, target) -> bool:
+    """Whether the linear model puts a trial's closure residual, the rows
+    of F + Jac step before the phase row, below ``target``."""
+    return bool(np.linalg.norm((F + Jac @ step)[:-1]) < target)
+
+
 def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
     """The wide stage: Levenberg-Marquardt descent on (x, T) for phi_T(x) = x.
 
@@ -132,30 +146,40 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
     together with the finite-difference (FD) block at it, so that an
     accepted trial already holds the flows for the next Jacobian and an LM
     iteration costs one flow round.  A rejected trial, or the last point of
-    the stage, discards its FD result.  The residual request carries the
-    times T k/m, k = 1, ..., m - 1 (m = ``_SEGMENTS``), whose samples
-    start the polish stage's segments, then linspace(0, T, 256), whose
-    samples the cluster step compares; output times leave the end state's
-    bits unchanged.  Returns (y, T, best, lam, starts, samples): the
-    point, its closure residual, the damping the stage ended with and the
-    samples of the point at those times.
+    the stage, discards its FD result.  Only a trial that the linear model
+    predicts to meet ``target`` (``_predicts_close``) has its residual
+    request carry the sample times: T k/m, k = 1, ..., m - 1
+    (m = ``_SEGMENTS``), whose samples start the polish stage's segments,
+    then linspace(0, T, 256), whose samples the cluster step compares.  The
+    stage's first point and every other trial go without them; output
+    times leave the end state's bits unchanged.  A stage that ends
+    wide-converged, best < max(1e-3, closure_tol), on a point without
+    samples asks for them in one more request, whose samples are the same
+    bits, since a request's result does not depend on its batch.  Returns
+    (y, T, best, lam, starts, samples): the point, its closure residual,
+    the damping the stage ended with and the samples of the point at those
+    times, None for a stage that is not wide-converged.
     """
     dim = surface.space.dim
     lo, hi = cfg.action_window
     T_lo, T_hi = 0.25 * lo, hi + 0.5 * (hi - lo) + 1.0
     eye = np.eye(dim)
 
-    def at(y, T):
-        """The residual request at (y, T) and the FD request beside it; all
-        FD states share one request, which starts with y itself."""
+    def times(T):
+        return np.r_[T * np.arange(1, _SEGMENTS) / _SEGMENTS,
+                     np.linspace(0.0, T, _ORBIT_SAMPLES)]
+
+    def at(y, T, sample):
+        """The residual request at (y, T), with the sample times if
+        ``sample``, and the FD request beside it; all FD states share one
+        request, which starts with y itself."""
         fd_states = [surface.project(y + fd * e) for e in eye]
-        times = np.r_[T * np.arange(1, _SEGMENTS) / _SEGMENTS,
-                      np.linspace(0.0, T, _ORBIT_SAMPLES)]
-        return fd_states, [(y, T, tol, times),
+        return fd_states, [(y, T, tol, times(T) if sample else None),
                            (np.vstack([y] + fd_states), T, tol, None)]
 
-    fd_states, requests = at(y, T)
-    (phi, pts), out = yield requests
+    fd_states, requests = at(y, T, False)
+    phi, out = yield requests
+    pts = None
     best = float(np.linalg.norm(phi - y))
     lam = 1e-3
     for _ in range(iters):
@@ -183,8 +207,10 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
                 continue
             y_try = surface.project(y + step[:dim])
             T_try = float(np.clip(T + step[dim], T_lo, T_hi))
-            fd_try, requests = at(y_try, T_try)
-            (phi_try, pts_try), out_try = yield requests
+            sample = _predicts_close(F, Jac, step, target)
+            fd_try, requests = at(y_try, T_try, sample)
+            first, out_try = yield requests
+            phi_try, pts_try = first if sample else (first, None)
             F_try = phi_try - y_try
             if np.linalg.norm(F_try) < best:
                 y, T, fd_states, out = y_try, T_try, fd_try, out_try
@@ -196,6 +222,10 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
             lam *= 5.0
         if not improved:
             break
+    if not _wide_converged(best, cfg):
+        return y, T, best, lam, None, None
+    if pts is None:
+        [(_, pts)] = yield [(y, T, tol, times(T))]
     return y, T, best, lam, pts[:_SEGMENTS - 1], pts[_SEGMENTS - 1:]
 
 
@@ -296,7 +326,7 @@ def _clusters(wide, cfg) -> List[List[int]]:
     candidate indices in ascending wide ``best``.
     """
     order = sorted((i for i, w in enumerate(wide)
-                    if w[2] < max(1e-3, cfg.closure_tol)),
+                    if _wide_converged(w[2], cfg)),
                    key=lambda i: (wide[i][1], tuple(wide[i][5][0])))
     clusters: List[List[int]] = []
     for i in order:
@@ -391,34 +421,45 @@ def _lockstep(surface, candidates) -> tuple:
     return results, rounds, sent
 
 
-def find_closed_orbits(surface: StarshapedSurface,
-                       cfg: SearchConfig) -> SearchResult:
-    """Multistart closed-orbit search; deterministic given cfg.rng_seed.
-
-    Low-discrepancy seed points crossed with a uniform trial-period grid;
-    every local minimum of a seed's return distance on the grid is refined
-    by damped Gauss-Newton with finite-difference flow sensitivities.  All
-    seeds' scans integrate in one batch.  Then two lockstep passes: the
-    first runs every candidate's wide stage, and after ``_clusters`` has
-    grouped the converged candidates by orbit, the second runs one polish
-    per cluster (``_polish``).  Loosest tolerance first already ran every
-    wide round before any polish round, so the barrier between the passes
-    costs no round.  Each cluster returns at most one orbit;
-    ``deduplicate`` still folds iterates and near-twins afterwards.
+def _scan(surface, cfg):
+    """The coarse scan: every seed flowed once to the window's end, in one
+    batch, and sampled on the trial-period grid.  Only the positions of
+    the grid minima of a seed's return distance reach the LM stages, so
+    the scan runs at the wide tolerance.  Returns the seeds, the grid and
+    the (seed, grid index) of every local minimum.
     """
     lo, hi = cfg.action_window
     dirs = sphere_directions(surface.space.dim, cfg.seeds, cfg.rng_seed)
     seeds = surface.point(dirs)
     Ts = np.linspace(lo, hi, _TRIAL_PERIODS)
-    scans = flow(surface, [(x0, hi, 1e-10, Ts) for x0 in seeds])
-    owners, stages = [], []
-    for k, (x0, (_, pts)) in enumerate(zip(seeds, scans)):
-        for i in _local_minima(np.linalg.norm(pts - x0, axis=-1)):
-            owners.append(k)
-            stages.append(_lm_stage(surface, x0.copy(), float(Ts[i]), cfg,
-                                    tol=1e-8, fd=1e-5, iters=3 * _LM_ITERS,
-                                    target=1e-6))
-    wide, wide_rounds, wide_sent = _lockstep(surface, stages)
+    scans = flow(surface, [(x0, hi, _WIDE_TOL, Ts) for x0 in seeds])
+    minima = [(k, int(i))
+              for k, (x0, (_, pts)) in enumerate(zip(seeds, scans))
+              for i in _local_minima(np.linalg.norm(pts - x0, axis=-1))]
+    return seeds, Ts, minima
+
+
+def find_closed_orbits(surface: StarshapedSurface,
+                       cfg: SearchConfig) -> SearchResult:
+    """Multistart closed-orbit search; deterministic given cfg.rng_seed.
+
+    Low-discrepancy seed points crossed with a uniform trial-period grid;
+    every local minimum of a seed's return distance on the grid
+    (``_scan``) is refined by damped Gauss-Newton with finite-difference
+    flow sensitivities.  Then two lockstep passes: the first runs every
+    candidate's wide stage, and after ``_clusters`` has grouped the
+    converged candidates by orbit, the second runs one polish per cluster
+    (``_polish``).  Loosest tolerance first already ran every wide round
+    before any polish round, so the barrier between the passes costs no
+    round.  Each cluster returns at most one orbit; ``deduplicate`` still
+    folds iterates and near-twins afterwards.
+    """
+    seeds, Ts, minima = _scan(surface, cfg)
+    owners = [k for k, _ in minima]
+    wide, wide_rounds, wide_sent = _lockstep(surface, [
+        _lm_stage(surface, seeds[k].copy(), float(Ts[i]), cfg,
+                  tol=_WIDE_TOL, fd=1e-5, iters=3 * _LM_ITERS, target=1e-6)
+        for k, i in minima])
     clusters = _clusters(wide, cfg)
     results, rounds, sent = _lockstep(
         surface, [_polish(surface, [wide[i] for i in members], cfg)
@@ -432,7 +473,8 @@ def find_closed_orbits(surface: StarshapedSurface,
                         flow_rounds=1 + wide_rounds + rounds,
                         flow_requests=len(seeds) + wide_sent + sent,
                         clusters=len(clusters),
-                        polish_runs=sum(runs for _, _, runs in results))
+                        polish_runs=sum(runs for _, _, runs in results),
+                        failed_clusters=sum(not ok for ok, _, _ in results))
     orbits.sort(key=lambda o: (o.action, tuple(o.points[0])))
     return SearchResult(orbits, stats)
 
@@ -459,15 +501,41 @@ def _loop_distance(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(d2.min(axis=1), 0.0))
 
 
+def _window_distance(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Upper bounds on the distances from points P to the closed polyline
+    through Q: P_i measured only against the segments of Q from index
+    j0 + i - 2 to j0 + i + 2 (mod len(Q)), where Q[j0] is the sample of Q
+    nearest P[0].  A minimum over some of the segments is never below the
+    minimum over all of them, and the direct formula |P - A - t AB| has no
+    cancellation, so a bound below tol puts the true distance below tol.
+    """
+    m = len(Q)
+    j0 = int(np.argmin(np.sum((Q - P[0]) ** 2, axis=-1)))
+    idx = (j0 + np.arange(len(P))[:, None] + np.arange(-2, 3)) % m  # (n, 5)
+    A = Q[idx]  # (n, 5, d)
+    AB = Q[(idx + 1) % m] - A
+    AP = P[:, None, :] - A
+    t = np.clip(np.sum(AP * AB, axis=-1)
+                / np.maximum(np.sum(AB ** 2, axis=-1), 1e-300), 0.0, 1.0)
+    return np.sqrt(np.sum((AP - t[..., None] * AB) ** 2, axis=-1).min(axis=1))
+
+
 def _same_loop(P: np.ndarray, Q: np.ndarray, tol: float) -> bool:
     """Symmetrized Hausdorff distance below tol, measured point-to-polyline
     so that phase offsets of the sampling do not register.  Every 8th
     point of P goes first: its largest distance is a lower bound on the
-    full one, so a pair it puts at or past tol is rejected exactly; a later
-    one-sided distance is skipped once an earlier one fails."""
-    return (float(_loop_distance(P[::8], Q).max()) < tol
-            and float(_loop_distance(P, Q).max()) < tol
-            and float(_loop_distance(Q, P).max()) < tol)
+    full one, so a pair it puts at or past tol is rejected exactly.  Then
+    each direction, P to Q and Q to P, is accepted by its windowed bound
+    (``_window_distance``) when that lies below tol: two samplings of one
+    loop at nearly one period differ by a near-constant index shift, so
+    each point's nearest segment lies in its window.  Only a direction
+    whose window fails, as on an iterate, pays the full 256 x 256 test,
+    and the Q to P direction is skipped once P to Q fails."""
+    if float(_loop_distance(P[::8], Q).max()) >= tol:
+        return False
+    return all(float(_window_distance(A, B).max()) < tol
+               or float(_loop_distance(A, B).max()) < tol
+               for A, B in ((P, Q), (Q, P)))
 
 
 def deduplicate(orbits: Sequence[ReebOrbit], tol: float) -> List[ReebOrbit]:
@@ -531,12 +599,16 @@ def verify_pinching_theorem(surface: StarshapedSurface,
     fibre), and on an ellipsoid the level pi r^2 of a repeated radius r.
     Such a level counts once, reported as its first representative's action
     to 9 digits, and passes the count: a family holds infinitely many simple
-    orbits.
+    orbits.  Raises ValueError when pi R1^2 or pi R2^2 is not a finite
+    normal float, as on a radial series whose R passes but whose radius
+    grows past it.
     """
     _require_count("seeds", seeds, 1)
     _require_count("rng_seed", rng_seed, 0)
     n = surface.space.n
     R1, R2, ratio_ok = pinch_radii(surface)
+    for name, r in (("R1", R1), ("R2", R2)):
+        _require_area(name, r)
     ratio = R2 / R1
     window = (math.pi * R1 ** 2, math.pi * R2 ** 2)
     if not ratio_ok:

@@ -376,7 +376,7 @@ class TestSurfaceCommands:
 
     def test_manifest_counts_flow_rounds(self, tmp_path, capsys,
                                          monkeypatch):
-        calls, polished = [], []
+        calls, polished, failed = [], [], []
         flow, polish = orbit_search.flow, orbit_search._polish
 
         def counted(surface, requests):
@@ -386,6 +386,7 @@ class TestSurfaceCommands:
         def recorded(surface, members, cfg):
             result = yield from polish(surface, members, cfg)
             polished.append(result[2])
+            failed.append(not result[0])
             return result
 
         monkeypatch.setattr(orbit_search, "flow", counted)
@@ -399,6 +400,7 @@ class TestSurfaceCommands:
         assert manifest["flow_requests"] == sum(calls)
         assert manifest["clusters"] == len(polished) >= 2
         assert manifest["polish_runs"] == sum(polished)
+        assert manifest["failed_clusters"] == sum(failed)
         # run counters stay out of the report, which stays byte-identical
         report = Path(report_path(tmp_path, "verify-ellipsoid")).read_text()
         for counter in ("flow_", "clusters", "polish_runs"):
@@ -475,6 +477,47 @@ class TestInvalidInput:
         assert code == 1
         assert "malformed surface file" in err
         assert "terms[1]" in err
+
+    @pytest.mark.parametrize("radii, value, area", [
+        # pi r^2 once overflowed into a traceback, and underflowed into an
+        # empty window whose message named neither input nor cause
+        ("1e200,1.1e200", "1e+200", "inf"),
+        ("1e-170,1.2e-170", "1e-170", "0.0")])
+    def test_radius_without_finite_area_exits_one(self, tmp_path, capsys,
+                                                  radii, value, area):
+        code, _, err = run(capsys, "verify-ellipsoid", "--radii", radii,
+                           "--seeds", "2", "--out", str(tmp_path))
+        assert code == 1
+        assert (f"radii value {value} is out of range: pi r^2 must be a "
+                f"finite normal float, got {area}") in err
+        assert not list(tmp_path.glob("*_verify-ellipsoid.json"))
+
+    @pytest.mark.parametrize("command, kind, params, field", [
+        ("verify-pinch", "ellipsoid", {"radii": [1.0, 1.3e154]}, "radii"),
+        ("verify-pinch", "sphere", {"R": 1.3e154}, "R"),
+        ("surface-orbits", "sphere", {"R": 1e200}, "R")])
+    def test_surface_without_finite_area_exits_one(self, tmp_path, capsys,
+                                                   command, kind, params,
+                                                   field):
+        path = self.surface_file(tmp_path, kind, params)
+        code, _, err = run(capsys, command, "--surface", path,
+                           "--seeds", "2", "--out", str(tmp_path))
+        assert code == 1
+        assert "malformed surface file" in err
+        assert f"{field} value " in err and "got inf" in err
+        assert not list(tmp_path.glob(f"*_{command}.json"))
+
+    def test_series_radius_without_finite_area_exits_one(self, tmp_path,
+                                                         capsys):
+        # R passes, but rho = R (1 + u_0^2) reaches 2 R, whose pi r^2
+        # overflows: the pinching radii are checked too
+        path = self.surface_file(tmp_path, "radial_series", {
+            "R": 7.5e153, "terms": [{"indices": [0, 0], "coef": 1.0}]})
+        code, _, err = run(capsys, "verify-pinch", "--surface", path,
+                           "--seeds", "2", "--out", str(tmp_path))
+        assert code == 1
+        assert "R2 value " in err and "got inf" in err
+        assert not list(tmp_path.glob("*_verify-pinch.json"))
 
     def test_window_from_zero_exits_one(self, tmp_path, capsys, sphere_file):
         code, _, err = run(capsys, "surface-orbits", "--surface", sphere_file,

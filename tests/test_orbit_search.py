@@ -177,28 +177,106 @@ def reference_candidate(surface, x0, T0, cfg):
     return ok, orbit
 
 
-def reference_find_closed_orbits(surface, cfg, candidate=reference_candidate):
-    """The search before the cluster step: every coarse-scan minimum runs
-    ``candidate`` to the end in one lockstep, so each wide-converged
-    candidate is polished and returns its own orbit; ``converged`` counts
-    the seeds with a converged candidate, ``accepted`` every orbit."""
+def reference_scan(surface, cfg):
+    """The coarse scan at 1e-10, tighter than the wide stage's 1e-8:
+    returns the seeds, the trial-period grid and the (seed, grid index) of
+    every local minimum of a seed's return distance."""
     lo, hi = cfg.action_window
     seeds = surface.point(cd.sphere_directions(surface.space.dim, cfg.seeds,
                                                cfg.rng_seed))
     Ts = np.linspace(lo, hi, 16)
     scans = osr.flow(surface, [(x0, hi, 1e-10, Ts) for x0 in seeds])
-    owners, candidates = [], []
-    for k, (x0, (_, pts)) in enumerate(zip(seeds, scans)):
-        for i in osr._local_minima(np.linalg.norm(pts - x0, axis=-1)):
-            owners.append(k)
-            candidates.append(candidate(surface, x0, float(Ts[i]), cfg))
-    results, rounds, sent = osr._lockstep(surface, candidates)
+    minima = [(k, int(i))
+              for k, (x0, (_, pts)) in enumerate(zip(seeds, scans))
+              for i in osr._local_minima(np.linalg.norm(pts - x0, axis=-1))]
+    return seeds, Ts, minima
+
+
+def reference_find_closed_orbits(surface, cfg, candidate=reference_candidate):
+    """The search before the cluster step: every coarse-scan minimum
+    (``reference_scan``) runs ``candidate`` to the end in one lockstep, so
+    each wide-converged candidate is polished and returns its own orbit;
+    ``converged`` counts the seeds with a converged candidate, ``accepted``
+    every orbit."""
+    seeds, Ts, minima = reference_scan(surface, cfg)
+    owners = [k for k, _ in minima]
+    results, rounds, sent = osr._lockstep(surface, [
+        candidate(surface, seeds[k], float(Ts[i]), cfg) for k, i in minima])
     orbits = sorted((orbit for _, orbit in results if orbit is not None),
                     key=lambda o: (o.action, tuple(o.points[0])))
     return osr.SearchResult(orbits, osr.SearchStats(
         seeds=cfg.seeds, accepted=len(orbits),
         converged=len({k for k, (ok, _) in zip(owners, results) if ok}),
         flow_rounds=1 + rounds, flow_requests=len(seeds) + sent))
+
+
+def reference_lm_stage(surface, y, T, cfg, tol, fd, iters, target):
+    """The wide stage whose every residual request carries the sample
+    times, T k/m for k = 1, ..., m - 1, then linspace(0, T, 256); returns
+    (y, T, best, lam, starts, samples) with the samples of every stage."""
+    dim = surface.space.dim
+    lo, hi = cfg.action_window
+    T_lo, T_hi = 0.25 * lo, hi + 0.5 * (hi - lo) + 1.0
+    eye = np.eye(dim)
+    m = osr._SEGMENTS
+
+    def at(y, T):
+        fd_states = [surface.project(y + fd * e) for e in eye]
+        times = np.r_[T * np.arange(1, m) / m, np.linspace(0.0, T, 256)]
+        return fd_states, [(y, T, tol, times),
+                           (np.vstack([y] + fd_states), T, tol, None)]
+
+    fd_states, requests = at(y, T)
+    (phi, pts), out = yield requests
+    best = float(np.linalg.norm(phi - y))
+    lam = 1e-3
+    for _ in range(iters):
+        if best < target:
+            break
+        phi = out[0]
+        R_here, R_phi = surface.reeb(np.vstack([y, phi]))
+        Jac = np.zeros((dim + 1, dim + 1))
+        for j in range(dim):
+            dy = fd_states[j] - y
+            Jac[:dim, j] = (out[j + 1] - phi) / fd - dy / fd
+            Jac[dim, j] = dy @ R_here / fd
+        Jac[:dim, dim] = R_phi
+        F = np.append(phi - y, 0.0)
+        JtJ = Jac.T @ Jac
+        JtF = Jac.T @ F
+        scale = np.trace(JtJ) / (dim + 1)
+        improved = False
+        for _ in range(8):
+            try:
+                step = np.linalg.solve(JtJ + lam * scale * np.eye(dim + 1),
+                                       -JtF)
+            except np.linalg.LinAlgError:
+                lam *= 5.0
+                continue
+            y_try = surface.project(y + step[:dim])
+            T_try = float(np.clip(T + step[dim], T_lo, T_hi))
+            fd_try, requests = at(y_try, T_try)
+            (phi_try, pts_try), out_try = yield requests
+            F_try = phi_try - y_try
+            if np.linalg.norm(F_try) < best:
+                y, T, fd_states, out = y_try, T_try, fd_try, out_try
+                pts = pts_try
+                best = float(np.linalg.norm(F_try))
+                lam = max(lam / 3.0, 1e-12)
+                improved = True
+                break
+            lam *= 5.0
+        if not improved:
+            break
+    return y, T, best, lam, pts[:m - 1], pts[m - 1:]
+
+
+def reference_same_loop(P, Q, tol):
+    """The loop match without the windowed accept: the every-8th-point
+    reject, then both full one-sided distances."""
+    return (float(osr._loop_distance(P[::8], Q).max()) < tol
+            and float(osr._loop_distance(P, Q).max()) < tol
+            and float(osr._loop_distance(Q, P).max()) < tol)
 
 
 def run_alone(surface, stage):
@@ -270,7 +348,13 @@ def search_case(name):
     """(surface, SearchConfig) of a search compared bit for bit: the
     pinching windows of two ellipsoids and of the unit sphere at 8 seeds,
     corpus k at 4 seeds, and at 2 seeds corpus 2, on which no seed
-    converges and whose LM stages reject trials."""
+    converges and whose LM stages reject trials; "pinch-k" is corpus k's
+    search in ``verify_pinching_theorem`` at 16 seeds."""
+    if name.startswith("pinch-"):
+        surface = corpus_surface(int(name[len("pinch-"):]))
+        R1, R2, _ = cd.pinch_radii(surface)
+        return surface, osr.SearchConfig(
+            seeds=16, action_window=(math.pi * R1 ** 2, math.pi * R2 ** 2))
     if name.startswith("corpus-"):
         index = int(name[len("corpus-"):])
         surface = corpus_surface(index)
@@ -290,6 +374,12 @@ def search_case(name):
     return surface, osr.SearchConfig(
         seeds=8, action_window=(math.pi * radii[0] ** 2,
                                 math.pi * radii[-1] ** 2))
+
+
+# the searches whose candidates, wide stages and loop pairs are compared
+# with the references
+COMPARED = ["E(1,1.2)", "E(1,1.1,1.3)", "sphere", "corpus-2", "pinch-0",
+            "pinch-2", "pinch-14", "pinch-18"]
 
 
 def orbit_bits(result):
@@ -331,6 +421,13 @@ class TestFindClosedOrbits:
         assert len(res) == 0
         assert res.stats.seeds == 4
 
+    def test_failed_clusters_counted(self):
+        # the series-period-bound op on corpus 2 (2 seeds): the polish of
+        # both of its clusters fails, so no seed converges
+        surface, cfg = search_case("corpus-2")
+        res = osr.find_closed_orbits(surface, cfg)
+        assert (res.stats.clusters, res.stats.failed_clusters) == (2, 2)
+        assert res.stats.converged == 0 and not res.orbits
 
     @pytest.mark.parametrize("field, value, rule", [
         ("seeds", 0, "seeds must be an integer >= 1, got 0"),
@@ -510,15 +607,17 @@ class TestSpeculativeRounds:
         res = osr.find_closed_orbits(ellipsoid, cfg)
         assert res.stats.converged == 4
         # one coarse scan and one round per LM iteration and stage start;
-        # the wide residual requests carry the segment start times and the
-        # loop samples the cluster step compares, and the polish residual
-        # requests the orbit samples.  The two-round LM stage took 18 flow
-        # calls here, and a sampling round of its own after the polish made
-        # 11; the single-shooting polish took 10 rounds and 68 requests,
-        # and polishing every candidate 10 rounds and 132 requests: the
-        # barrier between the wide and the polish pass costs no round
+        # the wide residual request of a trial predicted to close carries
+        # the segment start times and the loop samples the cluster step
+        # compares, and the polish residual requests the orbit samples.
+        # The two-round LM stage took 18 flow calls here, and a sampling
+        # round of its own after the polish made 11; the single-shooting
+        # polish took 10 rounds and 68 requests, and polishing every
+        # candidate 10 rounds and 132 requests: the barrier between the
+        # wide and the polish pass costs no round
         assert len(calls) == 10
-        assert (res.stats.clusters, res.stats.polish_runs) == (2, 2)
+        assert (res.stats.clusters, res.stats.polish_runs,
+                res.stats.failed_clusters) == (2, 2, 0)
         assert (res.stats.flow_rounds, res.stats.flow_requests) == (
             len(calls), sum(calls))
 
@@ -555,6 +654,62 @@ class TestSpeculativeRounds:
             ends.append(end - X[(i + 1) % m])
         assert best == float(np.linalg.norm(np.ravel(ends)))
 
+    @pytest.mark.parametrize("name", COMPARED)
+    def test_scan_minima_equal_to_reference(self, name):
+        # the scan at the wide tolerance finds the grid minima of the scan
+        # at 1e-10, so every candidate starts where it did
+        surface, cfg = search_case(name)
+        seeds, Ts, minima = osr._scan(surface, cfg)
+        ref_seeds, ref_Ts, ref_minima = reference_scan(surface, cfg)
+        assert seeds.tobytes() == ref_seeds.tobytes()
+        assert Ts.tobytes() == ref_Ts.tobytes()
+        assert minima == ref_minima
+
+    @pytest.mark.parametrize("predict", [None, False],
+                             ids=["model", "mispredicted"])
+    @pytest.mark.parametrize("name", ["E(1,1.2)", "E(1,1.1,1.3)", "sphere",
+                                      "corpus-2"])
+    def test_wide_stage_equal_to_always_sampling(self, monkeypatch, name,
+                                                 predict):
+        # with the linear model, or with every trial predicted to miss so
+        # that each wide-converged stage asks for its samples in a
+        # catch-up request, the stage returns the always-sampling bits
+        if predict is not None:
+            monkeypatch.setattr(osr, "_predicts_close", lambda *_: predict)
+        surface, cfg = search_case(name)
+        seeds, Ts, minima = osr._scan(surface, cfg)
+        kwargs = dict(tol=1e-8, fd=1e-5, iters=48, target=1e-6)
+        catch_ups = sampled = rounds = 0
+        for k, i in minima:
+            new, sent = run_alone(surface, osr._lm_stage(
+                surface, seeds[k].copy(), float(Ts[i]), cfg, **kwargs))
+            old, ref_sent = run_alone(surface, reference_lm_stage(
+                surface, seeds[k].copy(), float(Ts[i]), cfg, **kwargs))
+            assert new[0].tobytes() == old[0].tobytes()
+            assert new[1:4] == old[1:4]
+            converged = old[2] < max(1e-3, cfg.closure_tol)
+            if converged:
+                assert new[4].tobytes() == old[4].tobytes()
+                assert new[5].tobytes() == old[5].tobytes()
+            else:
+                assert new[4:] == (None, None)
+            # the stage's start carries no times; a catch-up is one lone
+            # residual request after the reference's last round
+            assert sent[0][0][3] is None
+            catch_up = len(sent) == len(ref_sent) + 1
+            assert catch_up or len(sent) == len(ref_sent)
+            if catch_up:
+                assert converged and len(sent[-1]) == 1
+                assert sent[-1][0][3] is not None
+            catch_ups += catch_up
+            sampled += sum(r[0][3] is not None for r in sent[:len(ref_sent)])
+            rounds += len(ref_sent)
+        if predict is False:
+            assert sampled == 0 and catch_ups > 0
+        else:
+            # the reference samples on every one of its rounds
+            assert sampled + catch_ups < rounds
+
     def test_reeb_calls(self, monkeypatch, ellipsoid):
         calls, states = [0], [0]
         reeb = cd.StarshapedSurface.reeb
@@ -573,15 +728,17 @@ class TestSpeculativeRounds:
         # every round, so that wide-stage iterations rode in polish rounds;
         # 2712 with two one-state Reeb calls per LM iteration; 2688 with
         # the single-shooting polish over the whole period; 1733 with the
-        # multiple-shooting polish run on every wide-converged candidate
-        assert calls[0] == 1727
+        # multiple-shooting polish run on every wide-converged candidate;
+        # 1727 (36843 states) with the coarse scan at 1e-10 and the sample
+        # times on every wide residual request
+        assert calls[0] == 1586
         # the single-shooting polish sent 68 requests and 54780 Reeb states
         # in 10 rounds; a dense twin beside each polish residual request
         # made 80 requests and 60132 states; polishing all 4 candidates
         # rather than one per cluster, 132 requests and 55063 states
         assert res.stats.flow_rounds == 10
         assert res.stats.flow_requests == 84
-        assert states[0] == 36843
+        assert states[0] == 35706
 
 
 class TestDeduplicate:
@@ -651,6 +808,61 @@ class TestDeduplicate:
                 osr._loop_distance(Q, P).max()) < tol
             for P, Q, tol in pairs]
         assert False in decisions
+
+    @pytest.mark.parametrize("name", COMPARED)
+    def test_windowed_accept_decides_as_reference(self, monkeypatch, name):
+        # every pair the cluster step and deduplicate compare gets the
+        # decision of the match without the window, and the window accepts
+        # each matching pair there, so none falls through to the full test
+        surface, cfg = search_case(name)
+        pairs = []
+        same_loop = osr._same_loop
+
+        def recorded(P, Q, tol):
+            pairs.append((P, Q, tol))
+            return same_loop(P, Q, tol)
+
+        monkeypatch.setattr(osr, "_same_loop", recorded)
+        found = osr.find_closed_orbits(surface, cfg)
+        osr.deduplicate(found.orbits, cfg.dedupe_tol)
+        expected = [reference_same_loop(P, Q, tol) for P, Q, tol in pairs]
+        full = []
+        loop_distance = osr._loop_distance
+
+        def counted(P, Q):
+            full.append(len(P) == 256)
+            return loop_distance(P, Q)
+
+        monkeypatch.setattr(osr, "_loop_distance", counted)
+        assert [same_loop(P, Q, tol) for P, Q, tol in pairs] == expected
+        assert pairs and sum(full) == 0
+
+    def test_window_miss_falls_through(self, monkeypatch):
+        # the double circle's samples run at twice the simple one's pace,
+        # so its window misses and the full test decides; a resampling of
+        # one circle at a half-step offset is accepted by the window alone
+        simple = circle_orbit(1.0, 0, math.pi).points
+        double = circle_orbit(1.0, 0, 2 * math.pi).points
+        other = circle_orbit(1.2, 1, 1.44 * math.pi).points
+        t = 2 * np.pi * (np.arange(256) + 0.5) / 255
+        shifted = np.zeros((256, 4))
+        shifted[:, 0], shifted[:, 1] = np.cos(t), np.sin(t)
+        full = []
+        loop_distance = osr._loop_distance
+
+        def counted(P, Q):
+            full.append(len(P) == 256)
+            return loop_distance(P, Q)
+
+        monkeypatch.setattr(osr, "_loop_distance", counted)
+        for P, Q, same, falls in [(double, simple, True, 2),
+                                  (simple, double, True, 2),
+                                  (shifted, simple, True, 0),
+                                  (simple, other, False, 0)]:
+            full.clear()
+            assert osr._same_loop(P, Q, 1e-3) is same
+            assert sum(full) == falls
+            assert reference_same_loop(P, Q, 1e-3) is same
 
     def test_sphere_family_not_merged(self, sphere_result):
         # distinct great circles share the action but not the point set
