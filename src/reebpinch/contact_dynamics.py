@@ -258,11 +258,15 @@ class StarshapedSurface:
         return np.einsum("mn,mk->nk", B, self._C).reshape(lead + (-1,))
 
     def rho(self, u: np.ndarray) -> np.ndarray:
-        """Radial function on unit directions (vectorized over leading axes)."""
+        """Radial function on unit directions (vectorized over leading
+        axes).  Batch-independent for every kind: a direction gets the same
+        bits alone, without a batch axis, as in any batch.  The ellipsoid's
+        (sum u^2/a^2)^(-1/2) takes its power on an array even for one
+        direction, since a NumPy scalar's power rounds differently."""
         u = np.asarray(u, dtype=float)
         if self.kind == "ellipsoid":
-            q = np.add.reduce((u / self._axes) ** 2, -1)
-            return q ** -0.5
+            q = np.add.reduce((u / self._axes) ** 2, -1, keepdims=True)
+            return (q ** -0.5)[..., 0]
         return self._R + self._series(u)[..., 0]
 
     def rho_grad(self, u: np.ndarray) -> np.ndarray:
@@ -301,11 +305,16 @@ class StarshapedSurface:
         return self.center + self.rho(u)[..., None] * u
 
     def _normal_dir(self, x: np.ndarray) -> np.ndarray:
-        """(|w| + <g, u>) u - g with w = x - x0, u = w/|w| and g = rho_grad(u):
-        |w| times u - g_t, where g_t is the tangential gradient of the
-        0-homogeneous extension of rho, so a positive multiple of the unit
-        exterior normal."""
+        """A positive multiple of the unit exterior normal at x, w = x - x0.
+
+        An ellipsoid { sum w^2/a^2 = 1 } takes the gradient of its quadric
+        over 2, w/a^2, in closed form.  A sphere or radial series takes
+        (|w| + <g, u>) u - g with u = w/|w| and g = rho_grad(u): |w| times
+        u - g_t, where g_t is the tangential gradient of the 0-homogeneous
+        extension of rho."""
         w = np.asarray(x, dtype=float) - self.center
+        if self.kind == "ellipsoid":
+            return w / self._axes2
         nr = np.sqrt(np.add.reduce(w * w, -1))
         u = w / nr[..., None]
         g = self.rho_grad(u)
@@ -320,9 +329,10 @@ class StarshapedSurface:
         """Batched Reeb field (2/<nu, x>) J nu at on-surface points (no
         residual check); raises HypothesisError where <nu, x> <= 0.  The
         field is invariant under positive rescaling of nu, so it is taken
-        from the unnormalized normal direction, and J is folded into the
-        scaling s = 2/<nu, x>: slot 2j takes -s nu_{2j+1}, slot 2j+1 takes
-        s nu_{2j}."""
+        from the unnormalized normal direction (``_normal_dir``: w/a^2 on
+        an ellipsoid), and J is folded into the scaling s = 2/<nu, x>:
+        slot 2j takes -s nu_{2j+1}, slot 2j+1 takes s nu_{2j}.  Row by
+        row, so a point gets the same bits in any batch."""
         x = np.asarray(x, dtype=float)
         nu = self._normal_dir(x)
         denom = np.add.reduce(nu * x, -1)

@@ -172,10 +172,11 @@ def _lm_stage(surface, y, T, cfg, tol, fd, iters, target):
     def at(y, T, sample):
         """The residual request at (y, T), with the sample times if
         ``sample``, and the FD request beside it; all FD states share one
-        request, which starts with y itself."""
-        fd_states = [surface.project(y + fd * e) for e in eye]
+        request, which starts with y itself.  They are projected in one
+        call, which gives each the bits it has alone."""
+        fd_states = surface.project(y + fd * eye)
         return fd_states, [(y, T, tol, times(T) if sample else None),
-                           (np.vstack([y] + fd_states), T, tol, None)]
+                           (np.vstack([y, fd_states]), T, tol, None)]
 
     fd_states, requests = at(y, T, False)
     phi, out = yield requests

@@ -125,8 +125,9 @@ def reference_rho_grad_of(S, u):
     return reference_series(S, u)[..., 1:]
 
 
-def reference_normal_dir(S, x):
-    """(|w| + <g, u>) u - g through the np.linalg.norm and np.sum wrappers."""
+def reference_radial_normal_dir(S, x):
+    """(|w| + <g, u>) u - g through the np.linalg.norm and np.sum wrappers:
+    the radial-function path, which any kind can take."""
     w = np.asarray(x, dtype=float) - S.center
     nr = np.linalg.norm(w, axis=-1)
     u = w / nr[..., None]
@@ -134,23 +135,57 @@ def reference_normal_dir(S, x):
     return (nr + np.sum(g * u, axis=-1))[..., None] * u - g
 
 
-def reference_reeb(S, x):
+def reference_normal_dir(S, x):
+    """The quadric's gradient over 2, (x - x0)/a^2, on an ellipsoid; the
+    radial-function path on a sphere or radial series."""
+    if S.kind == "ellipsoid":
+        return (np.asarray(x, dtype=float) - S.center) / S._axes ** 2
+    return reference_radial_normal_dir(S, x)
+
+
+def reference_reeb(S, x, normal_dir=reference_normal_dir):
     """(2/<nu, x>) J nu with J applied before the scaling."""
-    nu = reference_normal_dir(S, x)
+    nu = normal_dir(S, x)
     denom = np.sum(nu * x, axis=-1)
     return (2.0 / denom)[..., None] * S.space.J(nu)
 
 
-def corpus_surface0():
-    """The first surface of the acceptance corpus (criterion 6)."""
+def corpus_surface(index):
+    """Surface ``index`` of the acceptance corpus (criterion 6)."""
     rng = np.random.default_rng(20260823)
-    terms = []
-    for _ in range(int(rng.integers(2, 5))):
-        k = int(rng.integers(2, 4))
-        idx = tuple(int(i) for i in rng.integers(0, 4, size=k))
-        terms.append(cd.SeriesTerm(idx, float(rng.uniform(-0.02, 0.02))))
+    for _ in range(index + 1):
+        terms = []
+        for _ in range(int(rng.integers(2, 5))):
+            k = int(rng.integers(2, 4))
+            idx = tuple(int(i) for i in rng.integers(0, 4, size=k))
+            terms.append(cd.SeriesTerm(idx, float(rng.uniform(-0.02, 0.02))))
     return cd.StarshapedSurface(cd.AmbientSpace(2), np.zeros(4),
                                 "radial_series", {"R": 1.0, "terms": terms})
+
+
+def ellipsoid_surface(radii):
+    return cd.StarshapedSurface(cd.AmbientSpace(len(radii)),
+                                np.zeros(2 * len(radii)), "ellipsoid",
+                                {"radii": radii})
+
+
+def named_surface(name):
+    """A surface of every kind and code path: the sphere of radius 1.3,
+    two ellipsoids, corpus surfaces ("corpus" is corpus 0) and an
+    off-centre degree-4 series."""
+    if name.startswith("corpus"):
+        return corpus_surface(int(name[len("corpus"):] or 0))
+    if name == "off-centre degree 4":
+        return cd.StarshapedSurface(
+            cd.AmbientSpace(2), np.array([0.05, -0.02, 0.01, 0.0]),
+            "radial_series", {"R": 1.1, "terms": [
+                cd.SeriesTerm((0, 1, 1, 3), 0.03),
+                cd.SeriesTerm((2,), 0.01), cd.SeriesTerm((0, 2), -0.02)]})
+    if name == "sphere":
+        return cd.StarshapedSurface(cd.AmbientSpace(2), np.zeros(4),
+                                    "sphere", {"R": 1.3})
+    return ellipsoid_surface([1.0, 1.2] if name == "E(1,1.2)"
+                             else [1.0, 1.1, 1.3])
 
 
 class ReferenceOutputPlan:
@@ -485,25 +520,11 @@ class TestReebField:
     @pytest.mark.parametrize("name", ["sphere", "E(1,1.2)", "E(1,1.1,1.3)",
                                       "corpus", "off-centre degree 4"])
     def test_bitwise_equal_to_reference(self, name, count):
-        """reeb and normals give the bits of the per-degree basis, the
-        norm and sum wrappers and a separate J, in a batch and, for one
-        point, without a batch axis."""
-        if name == "corpus":
-            S = corpus_surface0()
-        elif name == "off-centre degree 4":
-            S = cd.StarshapedSurface(
-                cd.AmbientSpace(2), np.array([0.05, -0.02, 0.01, 0.0]),
-                "radial_series", {"R": 1.1, "terms": [
-                    cd.SeriesTerm((0, 1, 1, 3), 0.03),
-                    cd.SeriesTerm((2,), 0.01), cd.SeriesTerm((0, 2), -0.02)]})
-        elif name == "sphere":
-            S = cd.StarshapedSurface(cd.AmbientSpace(2), np.zeros(4),
-                                     "sphere", {"R": 1.3})
-        else:
-            radii = [1.0, 1.2] if name == "E(1,1.2)" else [1.0, 1.1, 1.3]
-            S = cd.StarshapedSurface(cd.AmbientSpace(len(radii)),
-                                     np.zeros(2 * len(radii)), "ellipsoid",
-                                     {"radii": radii})
+        """reeb and normals give the bits of the per-degree basis (the
+        closed-form quadric gradient on an ellipsoid), the norm and sum
+        wrappers and a separate J, in a batch and, for one point, without
+        a batch axis."""
+        S = named_surface(name)
         x = S.point(cd.sphere_directions(S.space.dim, 64, seed=9)[:count])
         for pts in [x] + ([x[0]] if count == 1 else []):
             nu = reference_normal_dir(S, pts)
@@ -512,6 +533,18 @@ class TestReebField:
                               (S.normals(pts), nu)):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("radii", [[1.0, 1.2], [1.0, 1.1, 1.3]])
+    def test_closed_form_matches_radial_path(self, radii):
+        """The ellipsoid's closed-form normal w/a^2 gives the field and the
+        unit normals of the radial-function path to round-off."""
+        S = ellipsoid_surface(radii)
+        x = S.point(cd.sphere_directions(S.space.dim, 4096, seed=0))
+        radial = reference_radial_normal_dir(S, x)
+        radial /= np.linalg.norm(radial, axis=-1, keepdims=True)
+        assert np.max(np.abs(S.normals(x) - radial)) <= 4e-15
+        old = reference_reeb(S, x, normal_dir=reference_radial_normal_dir)
+        assert np.max(np.abs(S.reeb(x) - old)) <= 4e-15
 
     def test_hypothesis_violation_reports_unit_normal(self, space):
         # sphere about (3, 0, 0, 0): at (2, 0, 0, 0) the unit normal is
@@ -522,6 +555,30 @@ class TestReebField:
         with pytest.raises(cd.HypothesisError,
                            match=r"<nu, x> = -2\.000e\+00"):
             S.reeb(pts)
+
+
+class TestBatchIndependence:
+    @pytest.mark.parametrize("count", [1, 7, 2000])
+    @pytest.mark.parametrize("name", ["sphere", "E(1,1.2)", "E(1,1.1,1.3)",
+                                      "corpus", "corpus 2",
+                                      "off-centre degree 4"])
+    def test_row_alone_equal_to_batch(self, name, count):
+        """rho, point, project, reeb and normals give a row the same bits
+        alone, without a batch axis, as in a batch of ``count`` rows."""
+        S = named_surface(name)
+        dim = S.space.dim
+        u = cd.sphere_directions(dim, count, seed=12)
+        rng = np.random.default_rng(count)
+        off = S.center + rng.uniform(0.5, 1.5, (count, 1)) * (S.point(u)
+                                                             - S.center)
+        x = S.point(u)
+        for f, arg in ((S.rho, u), (S.point, 1.7 * u), (S.project, off),
+                       (S.reeb, x), (S.normals, x)):
+            batch = f(arg)
+            for i in range(count):
+                alone = f(arg[i])
+                assert alone.shape == batch[i].shape
+                assert alone.tobytes() == batch[i].tobytes(), (f.__name__, i)
 
 
 def result_bits(result):
@@ -542,6 +599,24 @@ class TestFlow:
         x = np.array([0.0, 0.0, 1.2, 0.0])
         end = flow(ellipsoid, [(x, math.pi * 1.44, 1e-12, None)])[0]
         assert np.linalg.norm(end - x) < 1e-10
+
+    @pytest.mark.parametrize("radii", [[1.0, 1.2], [1.0, 1.1, 1.3]])
+    def test_ellipsoid_exact_flow(self, radii):
+        """The Reeb flow of E(r) is z_j -> exp(2 i t / r_j^2) z_j in complex
+        coordinates z_j = x_j + i y_j; flow follows it and stays on the
+        surface."""
+        S = ellipsoid_surface(radii)
+        x = S.point(cd.sphere_directions(S.space.dim, 16, seed=3))
+        T = 20.0
+        times = np.linspace(0.0, T, 200)
+        results = flow(S, [(row, T, 1e-12, times) for row in x])
+        z = x[:, 0::2] + 1j * x[:, 1::2]
+        rate = 2.0 / np.asarray(radii) ** 2
+        for z0, (end, samples) in zip(z, results):
+            exact = z0 * np.exp(1j * rate * T)
+            assert np.max(np.abs(end[0::2] + 1j * end[1::2] - exact)) < 1e-9
+            quadric = np.sum(samples ** 2 / S._axes ** 2, axis=-1)
+            assert np.max(np.abs(quadric - 1.0)) < 1e-9
 
     def test_off_surface_start_refused(self, sphere):
         with pytest.raises(cd.OffSurfaceError):
